@@ -241,9 +241,9 @@ def _cmd_ppos(args):
 def _cmd_heatmap(args):
     solver = solver_for(ZERUCLID)
     result, cache = _with_cache(
-        args, solver, None, lambda: {"grid": grundy_heatmap(args.max, jobs=args.jobs)}
+        args, solver, None, lambda: {"grid": grundy_heatmap(args.max)}
     )
-    params = {"max": args.max, "jobs": args.jobs}
+    params = {"max": args.max}
     return params, result, cache, EX_OK
 
 
@@ -367,12 +367,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:
     parser.add_argument(
         "--cache", metavar="FILE", help="memo table persistence file", **suppress
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        help="worker threads for sweeps",
-        **(suppress or {"default": 1}),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,8 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         start = time.perf_counter()
         params, result, cache, code = _HANDLERS[args.command](args)
         ms = (time.perf_counter() - start) * 1000.0

@@ -82,19 +82,27 @@ class Ruleset:
     given, maps a position to a fixed representative of its symmetry class
     (e.g. the sorted heap tuple for heap-symmetric games); solvers memoize on
     canonical representatives and never reorder anything themselves.
+
+    `leaf`, when given, maps a canonical position to its normal-play Grundy
+    value where a closed form knows it, and to None elsewhere.  A solver
+    memoizes that value without expanding the position: Grundy searches take
+    it as is, normal-play outcome searches read 0 as P and any other value as
+    N.  Misere searches never consult `leaf` and always search.
     """
 
-    __slots__ = ("name", "_options", "canonical", "__weakref__")
+    __slots__ = ("name", "_options", "canonical", "leaf", "__weakref__")
 
     def __init__(
         self,
         name: str,
         options: Callable[[Position], list],
         canonical: Callable[[Position], Position] | None = None,
+        leaf: Callable[[Position], int | None] | None = None,
     ):
         self.name = name
         self._options = options
         self.canonical = canonical
+        self.leaf = leaf
 
     def options(self, position: Position) -> list:
         return self._options(position)
@@ -108,9 +116,7 @@ class Solver:
 
     Keeps one outcome table per convention plus a Grundy table, all keyed by
     canonical position.  The tables together hold at most `memo_cap` entries;
-    exceeding the cap raises :class:`MemoLimitExceeded`.  Entries are
-    idempotent, so concurrent insertion from threads sharing a solver is
-    harmless (the cap check is approximate under such sharing).
+    exceeding the cap raises :class:`MemoLimitExceeded`.
 
     Recursion is run on an explicit stack, so option chains far deeper than
     the interpreter's recursion limit are fine.
@@ -161,56 +167,7 @@ class Solver:
         hit = memo.get(root)
         if hit is not None:
             return hit
-        options = self.ruleset.options
-        terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
-        cap_step = 0
-        # Frame layout: [position, canonical option list or None, next index].
-        stack = [[root, None, 0]]
-        on_path = {root}
-        while stack:
-            frame = stack[-1]
-            pos, opts, i = frame
-            if opts is None:
-                if pos in memo:
-                    stack.pop()
-                    on_path.discard(pos)
-                    continue
-                if canon:
-                    opts = [canon(o) for o in options(pos)]
-                else:
-                    opts = list(options(pos))
-                frame[1] = opts
-            verdict = None
-            child = None
-            while i < len(opts):
-                val = memo.get(opts[i])
-                if val is None:
-                    child = opts[i]
-                    break
-                if val is Outcome.P:
-                    verdict = Outcome.N
-                    break
-                i += 1
-            frame[2] = i
-            if child is not None:
-                if child in on_path:
-                    raise ValueError(
-                        f"{self.ruleset.name}: cyclic options through {child!r}"
-                    )
-                on_path.add(child)
-                stack.append([child, None, 0])
-                continue
-            if verdict is None:
-                verdict = Outcome.P if opts else terminal
-            cap_step += 1
-            if cap_step >= 1024:
-                cap_step = 0
-                self._guard_cap()
-            memo[pos] = verdict
-            stack.pop()
-            on_path.discard(pos)
-        self._guard_cap()
-        return memo[root]
+        return self._search(root, memo, convention)
 
     def grundy(self, position: Position) -> int:
         canon = self.ruleset.canonical
@@ -219,40 +176,77 @@ class Solver:
         hit = memo.get(root)
         if hit is not None:
             return hit
-        options = self.ruleset.options
+        return self._search(root, memo, None)
+
+    def _search(self, root: Position, memo: dict, convention: Convention | None):
+        """Value of the canonical `root`, filling `memo` with every position
+        the search settles on the way.
+
+        With `convention` None the values are Grundy values and a node ends
+        with the mex of its options; otherwise they are outcomes under that
+        convention and a node ends at its first P option.  Options are
+        canonicalized one at a time as the scan reaches them.
+        """
+        rules = self.ruleset
+        options, canon = rules.options, rules.canonical
+        grundy = convention is None
+        leaf = None if convention is Convention.MISERE else rules.leaf
+        decisive = None if grundy else Outcome.P
+        terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
         cap_step = 0
-        stack = [[root, None, 0]]
+        # Frame layout: [position, lazily canonicalized option iterator or
+        # None, option values seen, option being searched].
+        stack = [[root, None, None, None]]
         on_path = {root}
         while stack:
             frame = stack[-1]
-            pos, opts, i = frame
+            pos, opts, seen, child = frame
+            value = None
             if opts is None:
-                if pos in memo:
-                    stack.pop()
-                    on_path.discard(pos)
-                    continue
-                if canon:
-                    opts = [canon(o) for o in options(pos)]
+                if leaf is not None:
+                    value = leaf(pos)
+                    if value is not None and not grundy:
+                        value = Outcome.P if value == 0 else Outcome.N
+                if value is None:
+                    opts = options(pos)
+                    opts = frame[1] = map(canon, opts) if canon else iter(opts)
+                    seen = frame[2] = set()
+            else:
+                found = memo[child]
+                if found is decisive:
+                    value = Outcome.N
                 else:
-                    opts = list(options(pos))
-                frame[1] = opts
-            child = None
-            while i < len(opts):
-                if opts[i] not in memo:
-                    child = opts[i]
-                    break
-                i += 1
-            frame[2] = i
-            if child is not None:
-                if child in on_path:
-                    raise ValueError(
-                        f"{self.ruleset.name}: cyclic options through {child!r}"
-                    )
-                on_path.add(child)
-                stack.append([child, None, 0])
-                continue
-            value = mex([memo[o] for o in opts])
-            assert value < (1 << GRUNDY_VALUE_BITS), "Grundy value exceeds design cap"
+                    seen.add(found)
+            if value is None:
+                child = None
+                for option in opts:
+                    found = memo.get(option)
+                    if found is None:
+                        child = option
+                        break
+                    if found is decisive:
+                        value = Outcome.N
+                        break
+                    seen.add(found)
+                if child is not None:
+                    if child in on_path:
+                        raise ValueError(
+                            f"{rules.name}: cyclic options through {child!r}"
+                        )
+                    frame[3] = child
+                    on_path.add(child)
+                    stack.append([child, None, None, None])
+                    continue
+                if value is None:
+                    if not grundy:
+                        value = Outcome.P if seen else terminal
+                    else:
+                        value = mex(seen)
+                        if value >= 1 << GRUNDY_VALUE_BITS:
+                            raise ValueError(
+                                f"{rules.name}: Grundy value {value} at {pos!r} "
+                                f"exceeds {GRUNDY_VALUE_BITS} bits"
+                            )
             cap_step += 1
             if cap_step >= 1024:
                 cap_step = 0

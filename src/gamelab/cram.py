@@ -3,9 +3,11 @@
 Boards are rectangular bitboards (row-major, at most 64 cells) tagged with the
 button phase.  After the button, rows no longer interact: the remaining game
 is a disjoint sum of one-row strips, and a strip of length n has the Grundy
-value of the take-two-and-split heap game (mex over g(i) xor g(n-2-i)).  That
-reduction powers the fast solver; a pure two-phase search ruleset is kept
-alongside it for cross-validation on small boards.
+value of the take-two-and-split heap game (mex over g(i) xor g(n-2-i)), i.e.
+Dawson's Kayles, octal 0.07.  `CRAM_SEARCH` is the pure two-phase search;
+`CRAM` is the same ruleset plus a closed-form leaf that scores every
+after-button board by that strip-value xor.  Misere searches never use the
+leaf, so both rulesets give the same outcomes and Grundy values everywhere.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -182,8 +184,8 @@ def legal_moves(board: GridBoard) -> list[GridBoard]:
     free = ~occ & full
     out = []
     if board.phase is Phase.BEFORE:
-        # Button child first: under the fast ruleset it is scored in closed
-        # form, so a button-winnable board resolves before any vertical
+        # Button child first: under CRAM it is scored by the closed-form
+        # leaf, so a button-winnable board resolves before any vertical
         # subtree is opened.
         out.append(GridBoard(rows, cols, occ, Phase.AFTER))
         for b in _bits(free & (free >> cols) & vert):
@@ -214,26 +216,21 @@ def post_button_value(board: GridBoard) -> int:
 
 # -- rulesets -----------------------------------------------------------------
 
-_SINK = None  # created lazily: a terminal P stand-in for won after-boards
 
+def _after_button_value(board: GridBoard) -> int | None:
+    if board.phase is Phase.AFTER:
+        return post_button_value(board)
+    return None
 
-def _fast_options(board: GridBoard) -> list[GridBoard]:
-    if board.phase is Phase.BEFORE:
-        return legal_moves(board)
-    global _SINK
-    if post_button_value(board) == 0:
-        return []
-    if _SINK is None:
-        _SINK = GridBoard(1, 1, 1, Phase.AFTER)
-    return [_SINK]
-
-
-#: Fast solver: after-button boards are scored by the strip-value reduction.
-#: A non-zero after-board exposes one dummy losing option so the search sees N.
-CRAM = Ruleset("push-cram", _fast_options, canonical=canonical_board)
 
 #: Pure two-phase search, no strip reduction; for cross-validation.
 CRAM_SEARCH = Ruleset("push-cram-search", legal_moves, canonical=canonical_board)
+
+#: Fast solver: CRAM_SEARCH plus the strip-value leaf, which scores every
+#: after-button board in closed form instead of searching it.
+CRAM = Ruleset(
+    "push-cram", legal_moves, canonical=canonical_board, leaf=_after_button_value
+)
 
 
 def cram_outcome(board: GridBoard) -> Outcome:

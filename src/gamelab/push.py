@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import islice, takewhile
 from typing import NamedTuple
 
 from .arith import (
@@ -149,42 +150,33 @@ def is_nim_euclid_p(x: int, y: int) -> bool:
     return is_wythoff_pair(x, y) != _is_consecutive_fib_minus_one_pair(x, y)
 
 
+def _nim_euclid_recurrence():
+    """The endless stream of Nim-then-Euclid recurrence pairs, in order."""
+    used: set[int] = set()
+    candidate = 0
+    a, b = 0, 1
+    while True:
+        yield a, b
+        used.add(a)
+        used.add(b)
+        while candidate in used:
+            candidate += 1
+        a = candidate
+        b = ceil_phi(a)
+
+
 def nim_euclid_pairs(count: int) -> list[tuple[int, int]]:
     """First `count` P-pairs of Nim-then-Euclid by the recurrence: starting
     from (0, 1), the next lower entry is the least value not used by any
     earlier pair and its partner is ceil(lower * phi)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    pairs: list[tuple[int, int]] = []
-    used: set[int] = set()
-    candidate = 0
-    a, b = 0, 1
-    while len(pairs) < count:
-        pairs.append((a, b))
-        used.add(a)
-        used.add(b)
-        while candidate in used:
-            candidate += 1
-        a = candidate
-        b = ceil_phi(a)
-    return pairs
+    return list(islice(_nim_euclid_recurrence(), count))
 
 
 def nim_euclid_pairs_below(limit: int) -> list[tuple[int, int]]:
     """All recurrence pairs with both coordinates <= limit, in order."""
-    pairs: list[tuple[int, int]] = []
-    used: set[int] = set()
-    candidate = 0
-    a, b = 0, 1
-    while a <= limit and b <= limit:
-        pairs.append((a, b))
-        used.add(a)
-        used.add(b)
-        while candidate in used:
-            candidate += 1
-        a = candidate
-        b = ceil_phi(a)
-    return pairs
+    return list(takewhile(lambda pair: max(pair) <= limit, _nim_euclid_recurrence()))
 
 
 class FibClassification(NamedTuple):

@@ -11,7 +11,6 @@ The helpers here scan those claims with the exhaustive solver.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,25 +89,16 @@ def zeruclid_residue_survey(a: int, b: int, strict: bool = True) -> ResidueSurve
     return survey
 
 
-def grundy_heatmap(max_coord: int, jobs: int = 1) -> list[list[int]]:
+def grundy_heatmap(max_coord: int) -> list[list[int]]:
     """grid[a][b] = Grundy value of Zeruclid (1, a, b) for a, b in [0, max_coord].
 
     Memoization on sorted triples keeps the state space to the
     (unit-heap, zero-heap) families, so the quadratic grid reuses one table.
-    `jobs` > 1 fans rows out over threads; entries are idempotent so sharing
-    the solver is safe.
     """
     if not 0 <= max_coord <= HEATMAP_MAX_COORD:
         raise ValueError(
             f"max_coord must be in [0, {HEATMAP_MAX_COORD}], got {max_coord}"
         )
     solver = core.solver_for(ZERUCLID)
-
-    def row(a: int) -> list[int]:
-        return [solver.grundy((1, a, b)) for b in range(max_coord + 1)]
-
-    rows = range(max_coord + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(row, rows))
-    return [row(a) for a in rows]
+    coords = range(max_coord + 1)
+    return [[solver.grundy((1, a, b)) for b in coords] for a in coords]

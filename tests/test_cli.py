@@ -376,12 +376,6 @@ def test_cache_on_heatmap(capsys, tmp_path):
     assert json.loads(first)["result"] == json.loads(second)["result"]
 
 
-def test_heatmap_jobs_flag(capsys):
-    _, solo, _ = run_cli(capsys, "heatmap", "--max", "5")
-    _, multi, _ = run_cli(capsys, "heatmap", "--max", "5", "--jobs", "3")
-    assert json.loads(solo)["result"] == json.loads(multi)["result"]
-
-
 def test_exit_code_constants():
     assert (cli.EX_OK, cli.EX_DOMAIN, cli.EX_RESOURCE) == (0, 1, 2)
     assert (cli.EX_COUNTEREXAMPLES, cli.EX_USAGE) == (3, 64)

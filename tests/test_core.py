@@ -1,7 +1,10 @@
 """Solver engine: outcomes, Grundy values, memo caps, conventions."""
 
+import itertools
+
 import pytest
 
+from gamelab import core
 from gamelab.core import (
     Convention,
     MemoLimitExceeded,
@@ -92,6 +95,30 @@ def test_sum_rulesets_grundy_is_xor_of_components():
         for n in range(12):
             expected = nim_solver.grundy((a,)) ^ sub_solver.grundy((n,))
             assert solver.grundy(((a,), (n,))) == expected
+
+
+def test_leaf_hook_matches_search():
+    expanded = []
+
+    def nim_options(pos):
+        expanded.append(pos)
+        return NIM.options(pos)
+
+    xor_leaf = Ruleset("nim-xor", nim_options, canonical=NIM.canonical, leaf=sum_grundy)
+    liar = Ruleset("nim-liar", NIM.options, canonical=NIM.canonical, leaf=lambda pos: 0)
+    plain, fast, lying = Solver(NIM), Solver(xor_leaf), Solver(liar)
+    for pos in itertools.product(range(5), repeat=3):
+        assert fast.outcome(pos) is plain.outcome(pos), pos
+        assert fast.grundy(pos) == plain.grundy(pos), pos
+        assert lying.outcome(pos, Convention.MISERE) is plain.outcome(pos, Convention.MISERE), pos
+    assert expanded == []
+    assert lying.outcome((1,)) is Outcome.P  # normal play does consult the leaf
+
+
+def test_grundy_cap_is_checked(monkeypatch):
+    monkeypatch.setattr(core, "GRUNDY_VALUE_BITS", 1)
+    with pytest.raises(ValueError, match="exceeds 1 bits"):
+        Solver(NIM).grundy((0, 3))
 
 
 def test_memo_cap_enforced():

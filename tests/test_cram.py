@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gamelab.core import Outcome, Solver
+from gamelab.core import Convention, Outcome, Solver
 from gamelab.cram import (
     CRAM,
     CRAM_SEARCH,
@@ -28,6 +28,7 @@ from gamelab.cram import (
 from reference import board_state, cram_moves, cram_start, naive_outcome, strip_value
 
 N, P = Outcome.N, Outcome.P
+MISERE = Convention.MISERE
 
 
 # -- strip values --------------------------------------------------------------
@@ -207,12 +208,16 @@ def test_outcome_examples():
 def test_fast_solver_matches_pure_search():
     fast = Solver(CRAM)
     pure = Solver(CRAM_SEARCH)
-    for rows, cols in [(1, 5), (2, 3), (3, 3), (2, 5), (4, 3), (3, 4)]:
-        board = empty_board(rows, cols)
-        assert fast.outcome(board) is pure.outcome(board), (rows, cols)
-    for occ in range(0, 1 << 6, 3):
-        before = GridBoard(2, 3, occ)
-        assert fast.outcome(before) is pure.outcome(before), occ
+    shapes = [(1, 5), (2, 3), (3, 3), (2, 5), (4, 3), (3, 4)]
+    boards = [empty_board(rows, cols) for rows, cols in shapes]
+    boards.append(GridBoard(1, 4, 0, Phase.AFTER))
+    for rows, cols, step in [(2, 3, 1), (3, 3, 5), (1, 7, 3), (3, 4, 37)]:
+        for occ in range(0, 1 << (rows * cols), step):
+            boards += [GridBoard(rows, cols, occ, phase) for phase in Phase]
+    for board in boards:
+        assert fast.outcome(board) is pure.outcome(board), board
+        assert fast.grundy(board) == pure.grundy(board), board
+        assert fast.outcome(board, MISERE) is pure.outcome(board, MISERE), board
 
 
 def test_outcomes_match_naive_reference():

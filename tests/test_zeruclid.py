@@ -89,10 +89,6 @@ def test_heatmap_against_naive_reference():
             assert grid[a][b] == naive_grundy(zeruclid_moves, (1, a, b), memo)
 
 
-def test_heatmap_jobs_equivalent():
-    assert grundy_heatmap(12, jobs=3) == grundy_heatmap(12)
-
-
 def test_heatmap_domain():
     with pytest.raises(ValueError):
         grundy_heatmap(HEATMAP_MAX_COORD + 1)
