@@ -12,194 +12,38 @@ The package revolves around three layers:
   exposed through the `gamelab` command line (`cli`).
 """
 
-from .arith import (
-    ceil_phi,
-    consecutive_fib_index,
-    fib,
-    floor_phi,
-    is_wythoff_pair,
-    ratio_below_phi,
-    wythoff_pair,
-    zeckendorf,
-    zeckendorf_decode,
-)
-from .core import (
-    Convention,
-    MemoLimitExceeded,
-    Outcome,
-    Ruleset,
-    Solver,
-    grundy,
-    memo_cap_from_env,
-    mex,
-    outcome,
-    solver_for,
-    sum_grundy,
-    sum_rulesets,
-)
-from .cram import (
-    CRAM,
-    CRAM_SEARCH,
-    BluffReport,
-    GridBoard,
-    bluff_check,
-    bluff_report,
-    canonical_board,
-    cram_closed_form,
-    cram_outcome,
-    empty_board,
-    g007,
-    g007_certificate,
-    phase1_value,
-    post_button_value,
-)
-from .heaps import (
-    BASE_ORACLES,
-    EUCLID,
-    NIM,
-    RULESETS,
-    WYTHOFF,
-    ZERUCLID,
-    base_p_oracle,
-    euclid_options,
-    is_euclid_misere_p,
-    is_euclid_p,
-    is_nim_misere_p,
-    is_nim_p,
-    is_wythoff_p,
-    nim_options,
-    subtraction,
-    wythoff_options,
-    zeruclid_options,
-)
-from .periodicity import (
-    HorizonExceeded,
-    PeriodCertificate,
-    certified_period,
-    certified_split_period,
-    compound_certificates,
-    grundy_sequence,
-    grundy_stream,
-    interval_compound_certificate,
-    outcome_sequence,
-    outcome_stream,
-    predicted_period,
-    ruleset_outcome_stream,
-)
+from .core import Convention, Outcome, Solver
+from .cram import cram_outcome, empty_board, g007
+from .heaps import EUCLID, NIM, WYTHOFF, ZERUCLID, subtraction
+from .periodicity import interval_compound_certificate
 from .push import (
-    COMPOUND_ORACLES,
-    COMPOUNDS,
-    FibClassification,
     Phase,
     PushPosition,
     compound_ruleset,
-    is_euclid_nim_p,
     is_nim_euclid_p,
-    is_nim_wythoff_p,
-    is_wythoff_nim_p,
-    nim_euclid_fib_classify,
     nim_euclid_pairs,
-    nim_euclid_pairs_below,
-    push_options,
-    push_p_oracle,
-    push_ruleset,
-)
-from .verify import SUITES, run_suite
-from .zeruclid import (
-    BoundCheck,
-    ResidueSurvey,
-    grundy_heatmap,
-    zeruclid_bound_check,
-    zeruclid_residue_survey,
 )
 
 __version__ = "0.1.0"
 
+# The names the README's Library section imports; everything else is
+# imported from its submodule.
 __all__ = [
-    "BASE_ORACLES",
-    "BluffReport",
-    "BoundCheck",
-    "COMPOUNDS",
-    "COMPOUND_ORACLES",
-    "CRAM",
-    "CRAM_SEARCH",
     "Convention",
     "EUCLID",
-    "FibClassification",
-    "GridBoard",
-    "HorizonExceeded",
-    "MemoLimitExceeded",
     "NIM",
     "Outcome",
-    "PeriodCertificate",
     "Phase",
     "PushPosition",
-    "RULESETS",
-    "ResidueSurvey",
-    "Ruleset",
-    "SUITES",
     "Solver",
     "WYTHOFF",
     "ZERUCLID",
-    "base_p_oracle",
-    "bluff_check",
-    "bluff_report",
-    "canonical_board",
-    "ceil_phi",
-    "certified_period",
-    "certified_split_period",
-    "compound_certificates",
     "compound_ruleset",
-    "consecutive_fib_index",
-    "cram_closed_form",
     "cram_outcome",
     "empty_board",
-    "euclid_options",
-    "fib",
-    "floor_phi",
     "g007",
-    "g007_certificate",
-    "grundy",
-    "grundy_heatmap",
-    "grundy_sequence",
-    "grundy_stream",
     "interval_compound_certificate",
-    "is_euclid_misere_p",
-    "is_euclid_nim_p",
-    "is_euclid_p",
     "is_nim_euclid_p",
-    "is_nim_misere_p",
-    "is_nim_p",
-    "is_nim_wythoff_p",
-    "is_wythoff_nim_p",
-    "is_wythoff_p",
-    "is_wythoff_pair",
-    "memo_cap_from_env",
-    "mex",
-    "nim_euclid_fib_classify",
     "nim_euclid_pairs",
-    "nim_euclid_pairs_below",
-    "nim_options",
-    "outcome",
-    "outcome_sequence",
-    "outcome_stream",
-    "phase1_value",
-    "post_button_value",
-    "predicted_period",
-    "push_options",
-    "push_p_oracle",
-    "push_ruleset",
-    "ruleset_outcome_stream",
-    "run_suite",
-    "solver_for",
     "subtraction",
-    "sum_grundy",
-    "sum_rulesets",
-    "wythoff_options",
-    "wythoff_pair",
-    "zeckendorf",
-    "zeckendorf_decode",
-    "zeruclid_bound_check",
-    "zeruclid_options",
-    "zeruclid_residue_survey",
 ]

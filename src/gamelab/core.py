@@ -30,6 +30,11 @@ class Outcome(enum.Enum):
     P = "P"
     N = "N"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and skips the Python-level Enum.__hash__ on
+    # every memo lookup keyed by a member.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -37,6 +42,8 @@ class Outcome(enum.Enum):
 class Convention(enum.Enum):
     NORMAL = "normal"
     MISERE = "misere"
+
+    __hash__ = object.__hash__  # see Outcome
 
     def __str__(self) -> str:
         return self.value
@@ -114,29 +121,29 @@ class Ruleset:
 class Solver:
     """Memoized outcome/Grundy evaluation for one ruleset.
 
-    Keeps one outcome table per convention plus a Grundy table, all keyed by
-    canonical position.  The tables together hold at most `memo_cap` entries;
-    exceeding the cap raises :class:`MemoLimitExceeded`.
+    Keeps one memo table per value kind, keyed by canonical position: the
+    Grundy table under None and an outcome table under each convention.  The
+    tables together hold at most `memo_cap` entries, read from
+    GAMELAB_MEMO_CAP when the solver is made; exceeding the cap raises
+    :class:`MemoLimitExceeded`.
 
     Recursion is run on an explicit stack, so option chains far deeper than
     the interpreter's recursion limit are fine.
     """
 
-    def __init__(self, ruleset: Ruleset, memo_cap: int | None = None):
+    def __init__(self, ruleset: Ruleset):
         self.ruleset = ruleset
-        self.memo_cap = memo_cap_from_env() if memo_cap is None else memo_cap
-        self._outcome_memo: dict[Convention, dict] = {
+        self.memo_cap = memo_cap_from_env()
+        self._memos: dict[Convention | None, dict] = {
+            None: {},
             Convention.NORMAL: {},
             Convention.MISERE: {},
         }
-        self._grundy_memo: dict = {}
 
     # -- bookkeeping ------------------------------------------------------
 
     def entry_count(self) -> int:
-        return len(self._grundy_memo) + sum(
-            len(t) for t in self._outcome_memo.values()
-        )
+        return sum(len(t) for t in self._memos.values())
 
     def cache_stats(self) -> dict:
         return {"entries": self.entry_count(), "cap": self.memo_cap}
@@ -147,9 +154,7 @@ class Solver:
         Exposed for persistence; preloaded entries must come from the same
         ruleset or the results are garbage.
         """
-        if convention is None:
-            return self._grundy_memo
-        return self._outcome_memo[convention]
+        return self._memos[convention]
 
     def _guard_cap(self) -> None:
         if self.entry_count() >= self.memo_cap:
@@ -162,7 +167,7 @@ class Solver:
 
     def outcome(self, position: Position, convention: Convention = Convention.NORMAL) -> Outcome:
         canon = self.ruleset.canonical
-        memo = self._outcome_memo[convention]
+        memo = self._memos[convention]
         root = canon(position) if canon else position
         hit = memo.get(root)
         if hit is not None:
@@ -171,7 +176,7 @@ class Solver:
 
     def grundy(self, position: Position) -> int:
         canon = self.ruleset.canonical
-        memo = self._grundy_memo
+        memo = self._memos[None]
         root = canon(position) if canon else position
         hit = memo.get(root)
         if hit is not None:

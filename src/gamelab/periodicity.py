@@ -22,8 +22,9 @@ from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import core
-from .core import Convention, Outcome, Ruleset, mex
+from .core import Convention, Outcome, Ruleset
 from .heaps import subtraction
+from .push import Phase, PushPosition, push_ruleset
 
 
 class HorizonExceeded(Exception):
@@ -65,25 +66,17 @@ def _validated_moves(s: Iterable[int]) -> tuple[int, ...]:
 def outcome_stream(
     s1: Iterable[int], r2: Ruleset, convention: Convention = Convention.NORMAL
 ) -> Iterator[Outcome]:
-    """Outcomes of Subtraction(s1) compounded with r2, at heaps 0, 1, 2, ...
+    """Outcomes of Subtraction(s1) compounded with r2, at heaps 0, 1, 2, ...,
+    read off the solver of ``push_ruleset(subtraction(s1), r2)``.
 
     Position n is P exactly when the button answer (r2 at heap n, same
     convention) is N and every subtraction move lands on an N heap.  Both
     conventions share that recursion because the button keeps every
     pre-button position non-terminal.
     """
-    moves = _validated_moves(s1)
-    solver = core.solver_for(r2)
-    seq: list[Outcome] = []
+    solver = core.solver_for(push_ruleset(subtraction(s1), r2))
     for n in count():
-        if solver.outcome((n,), convention) is Outcome.P or any(
-            seq[n - v] is Outcome.P for v in moves if v <= n
-        ):
-            val = Outcome.N
-        else:
-            val = Outcome.P
-        seq.append(val)
-        yield val
+        yield solver.outcome(PushPosition(Phase.BEFORE, (n,)), convention)
 
 
 def outcome_sequence(
@@ -98,16 +91,11 @@ def outcome_sequence(
 
 def grundy_stream(s1: Iterable[int], r2: Ruleset) -> Iterator[int]:
     """Grundy values of the compound at heaps 0, 1, 2, ...: the mex of the
-    subtraction options' values together with r2's value at the same heap."""
-    moves = _validated_moves(s1)
-    solver = core.solver_for(r2)
-    seq: list[int] = []
+    subtraction options' values together with r2's value at the same heap,
+    read off the same solver as :func:`outcome_stream`."""
+    solver = core.solver_for(push_ruleset(subtraction(s1), r2))
     for n in count():
-        reachable = [seq[n - v] for v in moves if v <= n]
-        reachable.append(solver.grundy((n,)))
-        val = mex(reachable)
-        seq.append(val)
-        yield val
+        yield solver.grundy(PushPosition(Phase.BEFORE, (n,)))
 
 
 def grundy_sequence(s1: Iterable[int], r2: Ruleset, length: int) -> list[int]:

@@ -41,6 +41,8 @@ class Phase(enum.Enum):
     BEFORE = "before"
     AFTER = "after"
 
+    __hash__ = object.__hash__  # identity hash, as for core.Outcome
+
     def __str__(self) -> str:
         return self.value
 

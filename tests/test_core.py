@@ -121,12 +121,6 @@ def test_grundy_cap_is_checked(monkeypatch):
         Solver(NIM).grundy((0, 3))
 
 
-def test_memo_cap_enforced():
-    solver = Solver(NIM, memo_cap=16)
-    with pytest.raises(MemoLimitExceeded):
-        solver.grundy((40, 41, 42))
-
-
 def test_memo_cap_from_env(monkeypatch):
     monkeypatch.setenv("GAMELAB_MEMO_CAP", "12345")
     assert memo_cap_from_env() == 12345

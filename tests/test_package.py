@@ -1,0 +1,39 @@
+"""The top-level package: the README's Library example and the names it exports."""
+
+import ast
+import re
+from pathlib import Path
+
+import gamelab
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_example() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example():
+    source = _library_example()
+    namespace: dict = {}
+    exec(source, namespace)
+    # Unindented lines ending in a comment state their own value:
+    # `expression   # expected`.
+    claims = re.findall(r"^(\S.*?)\s+#\s+(.+)$", source, re.M)
+    assert [expr for expr, _ in claims] == [
+        "solver.outcome(PushPosition(Phase.BEFORE, (7, 12)))",
+        "is_nim_euclid_p(7, 12)",
+        "(cert.preperiod, cert.period)",
+    ]
+    for expr, want in claims:
+        assert eval(expr, namespace) == eval(want, namespace), expr
+
+    imported = [
+        alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.module == "gamelab"
+        for alias in node.names
+    ]
+    assert sorted(gamelab.__all__) == sorted(imported)

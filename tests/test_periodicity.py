@@ -1,10 +1,11 @@
 """Outcome/Grundy streams of interval compounds and period certificates."""
 
 import itertools
+from functools import partial
 
 import pytest
 
-from gamelab.core import Convention, Outcome, Solver
+from gamelab.core import Convention, Outcome
 from gamelab.heaps import subtraction
 from gamelab.periodicity import (
     HorizonExceeded,
@@ -19,9 +20,14 @@ from gamelab.periodicity import (
     predicted_period,
     ruleset_outcome_stream,
 )
-from gamelab.push import Phase, PushPosition, push_ruleset
 
-from reference import strip_value
+from reference import (
+    naive_grundy,
+    naive_outcome,
+    push_moves,
+    strip_value,
+    subtraction_moves,
+)
 
 N, P = Outcome.N, Outcome.P
 
@@ -35,13 +41,14 @@ def test_outcome_sequence_simple():
 
 def test_stream_matches_full_search():
     s1, s2 = {1, 2}, {1, 2, 3}
-    compound = push_ruleset(subtraction(s1), subtraction(s2))
-    solver = Solver(compound)
+    moves = push_moves(partial(subtraction_moves, s1), partial(subtraction_moves, s2))
     for convention in (Convention.NORMAL, Convention.MISERE):
         seq = outcome_sequence(s1, subtraction(s2), 40, convention)
+        memo = {}
+        misere = convention is Convention.MISERE
         for n in range(40):
-            want = solver.outcome(PushPosition(Phase.BEFORE, (n,)), convention)
-            assert seq[n] is want, (n, convention)
+            want = naive_outcome(moves, (False, (n,)), misere, memo)
+            assert seq[n].value == want, (n, convention)
 
 
 def test_interval_compound_p_set():
@@ -55,16 +62,15 @@ def test_interval_compound_p_set():
 
 def test_grundy_stream_values():
     # {1} then {1}: pressing adds a unit heap, so values are (plain) xor 1.
-    s1 = {1}
-    r2 = subtraction({1})
-    values = grundy_sequence(s1, r2, 20)
+    s1, s2 = {1}, {1}
+    values = grundy_sequence(s1, subtraction(s2), 20)
     assert values[0] == 1
     plain = [n % 2 for n in range(20)]  # Grundy of Subtraction({1})
     assert values == [g ^ 1 for g in plain]
-    compound = push_ruleset(subtraction(s1), r2)
-    solver = Solver(compound)
+    moves = push_moves(partial(subtraction_moves, s1), partial(subtraction_moves, s2))
+    memo = {}
     for n in range(20):
-        assert values[n] == solver.grundy(PushPosition(Phase.BEFORE, (n,)))
+        assert values[n] == naive_grundy(moves, (False, (n,)), memo)
 
 
 def test_grundy_zero_iff_outcome_p():
