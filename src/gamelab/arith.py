@@ -63,7 +63,8 @@ def ratio_below_phi(a: int, b: int) -> bool:
     if a < 1 or b < 0:
         raise ValueError(f"ratio test needs a >= 1 and b >= 0, got ({a}, {b})")
     d = b * b - a * b - a * a
-    assert d != 0
+    if d == 0:
+        raise ArithmeticError(f"b^2 - ab - a^2 vanished at ({a}, {b})")
     return d < 0
 
 
@@ -124,7 +125,8 @@ def zeckendorf(n: int) -> str:
             rem -= f
         else:
             bits.append("0")
-    assert rem == 0
+    if rem != 0:
+        raise ArithmeticError(f"greedy Fibonacci expansion of {n} left {rem}")
     return "".join(bits)
 
 

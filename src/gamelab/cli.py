@@ -54,7 +54,7 @@ EX_COUNTEREXAMPLES = 3
 EX_USAGE = 64
 
 CACHE_MAGIC = b"GLMC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2  # 2: Push Cram memo keys are ints, not GridBoards
 
 
 class UsageError(Exception):

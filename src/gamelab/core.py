@@ -166,6 +166,9 @@ class Solver:
     # -- evaluation -------------------------------------------------------
 
     def outcome(self, position: Position, convention: Convention = Convention.NORMAL) -> Outcome:
+        if convention.__class__ is not Convention:
+            # None would index the Grundy table and return an int.
+            raise ValueError(f"convention must be a Convention, got {convention!r}")
         canon = self.ruleset.canonical
         memo = self._memos[convention]
         root = canon(position) if canon else position

@@ -9,6 +9,17 @@ Dawson's Kayles, octal 0.07.  `CRAM_SEARCH` is the pure two-phase search;
 after-button board by that strip-value xor.  Misere searches never use the
 leaf, so both rulesets give the same outcomes and Grundy values everywhere.
 
+`GridBoard` is the public and record type.  Inside the solver a position is
+one int key (shape, phase and occupancy), so the memo tables, and the cache
+files the CLI writes from them, are keyed by ints.  Both rulesets share one
+option generator and one canonicalizer over these keys, built on per-shape
+domino lists and on row-reversal and row-strip-value tables that fill as rows
+are met.  Options come mirror first: the button child, then the vertical
+placements whose board equals one of its own flips (the classic mirror
+replies, which often end an outcome node at once), then the rest.
+`legal_moves`, `canonical_board` and `post_button_value` are `GridBoard`
+wrappers over the same kernel.
+
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
 """
@@ -116,121 +127,158 @@ class GridBoard:
         return cls(rows, cols, int(parts[3], 16), phase)
 
 
-@lru_cache(maxsize=None)
-def _reverse_bits(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
+# -- the search kernel ----------------------------------------------------------
+#
+# Inside the solver a position is one int key,
+#     ((rows << 8 | cols) << 1 | after) << 64 | occupied,
+# so a child is its parent's key with a domino's bits or the AFTER bit set.
+
+_OCC_MASK = (1 << MAX_CELLS) - 1
+_AFTER = 1 << MAX_CELLS
+_SHAPE_SHIFT = MAX_CELLS + 1
+
+
+class _LazyTable(dict):
+    """A dict that computes and stores a missing entry on first lookup."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _row_value(bits: int, cols: int) -> int:
+    """Xor of the strip values of one row's maximal free runs."""
+    total = 0
+    for run in f"{bits:0{cols}b}".split("1"):
+        total ^= g007(len(run))
+    return total
+
+
+class _Shape:
+    """The dominoes and row offsets of one board shape, plus row-reversal and
+    row-strip-value tables that fill as rows are met."""
+
+    __slots__ = ("row_mask", "row_shifts", "reverse", "strip", "vertical", "horizontal")
+
+    def __init__(self, rows: int, cols: int):
+        if rows < 1 or cols < 1 or rows * cols > MAX_CELLS:
+            raise ValueError(f"no board shape {rows}x{cols}")
+        self.row_mask = (1 << cols) - 1
+        # (offset of row r, offset of its mirror row) for the flips.
+        self.row_shifts = tuple((r * cols, (rows - 1 - r) * cols) for r in range(rows))
+        self.reverse = _LazyTable(lambda bits: int(f"{bits:0{cols}b}"[::-1], 2))
+        self.strip = _LazyTable(lambda bits: _row_value(bits, cols))
+        # Dominoes in order of their lower cell; vertical ones carry their
+        # h, v and hv images for the mirror test.
+        vertical = [1 << b | 1 << (b + cols) for b in range((rows - 1) * cols)]
+        self.vertical = [(domino, *self.images(domino)) for domino in vertical]
+        self.horizontal = [0b11 << b for b in range(rows * cols) if b % cols < cols - 1]
+
+    def images(self, occ: int) -> tuple[int, int, int]:
+        """The h, v and hv flips of an occupancy."""
+        reverse, mask = self.reverse, self.row_mask
+        h = v = hv = 0
+        for at, mirror in self.row_shifts:
+            bits = occ >> at & mask
+            if bits:
+                flipped = reverse[bits]
+                h |= flipped << at
+                v |= bits << mirror
+                hv |= flipped << mirror
+        return h, v, hv
+
+    def value(self, occ: int) -> int:
+        """Grundy value of the after-button game: xor of the rows' values."""
+        strip, mask = self.strip, self.row_mask
+        total = 0
+        for at, _ in self.row_shifts:
+            total ^= strip[occ >> at & mask]
+        return total
+
+
+_SHAPES = _LazyTable(lambda shape_id: _Shape(shape_id >> 8, shape_id & 0xFF))
+
+
+def _options(key: int) -> list[int]:
+    """Children of a key.  Before the button: the button child, then the
+    vertical placements that leave a board equal to one of its own flips
+    (mirror replies, most often the P children that end an outcome node),
+    then the other vertical placements.  After it: horizontal placements."""
+    shape = _SHAPES[key >> _SHAPE_SHIFT]
+    occ = key & _OCC_MASK
+    if key & _AFTER:
+        return [key | domino for domino in shape.horizontal if not occ & domino]
+    h, v, hv = shape.images(occ)
+    out = [key | _AFTER]
+    rest = []
+    for domino, dh, dv, dhv in shape.vertical:
+        if not occ & domino:
+            child = occ | domino
+            if child == h | dh or child == v | dv or child == hv | dhv:
+                out.append(key | domino)
+            else:
+                rest.append(key | domino)
+    out += rest
     return out
 
 
-@lru_cache(maxsize=None)
-def _shape_masks(rows: int, cols: int) -> tuple[int, int, int]:
-    """(full board, vertical anchors, horizontal anchors) for a shape.
-
-    An anchor is the lower-index cell of a domino: vertical anchors exclude
-    the last row, horizontal anchors exclude the last column.
-    """
-    full = (1 << (rows * cols)) - 1
-    vert = (1 << ((rows - 1) * cols)) - 1 if rows > 1 else 0
-    row_anchor = (1 << (cols - 1)) - 1
-    horiz = 0
-    for r in range(rows):
-        horiz |= row_anchor << (r * cols)
-    return full, vert, horiz
+def _canonical(position) -> int:
+    """Key of the least occupancy over the flip group {identity, h, v, hv};
+    takes a key or a GridBoard."""
+    key = position if position.__class__ is int else _key(position)
+    occ = key & _OCC_MASK
+    return key ^ occ | min(occ, *_SHAPES[key >> _SHAPE_SHIFT].images(occ))
 
 
-def _h_flip(occ: int, rows: int, cols: int) -> int:
-    row_mask = (1 << cols) - 1
-    out = 0
-    for r in range(rows):
-        out |= _reverse_bits((occ >> (r * cols)) & row_mask, cols) << (r * cols)
-    return out
+def _leaf(key: int) -> int | None:
+    """Strip-value xor of an after-button key; None before the button."""
+    if key & _AFTER:
+        return _SHAPES[key >> _SHAPE_SHIFT].value(key & _OCC_MASK)
+    return None
 
 
-def _v_flip(occ: int, rows: int, cols: int) -> int:
-    row_mask = (1 << cols) - 1
-    out = 0
-    for r in range(rows):
-        out |= ((occ >> (r * cols)) & row_mask) << ((rows - 1 - r) * cols)
-    return out
+def _key(board: GridBoard) -> int:
+    shape_id = board.rows << 8 | board.cols
+    return shape_id << _SHAPE_SHIFT | (board.phase is Phase.AFTER) << MAX_CELLS | board.occupied
+
+
+def _board(key: int) -> GridBoard:
+    shape_id = key >> _SHAPE_SHIFT
+    phase = Phase.AFTER if key & _AFTER else Phase.BEFORE
+    return GridBoard(shape_id >> 8, shape_id & 0xFF, key & _OCC_MASK, phase)
 
 
 def canonical_board(board: GridBoard) -> GridBoard:
     """Least occupancy over the flip group {identity, h, v, hv}."""
-    rows, cols, occ = board.rows, board.cols, board.occupied
-    h = _h_flip(occ, rows, cols)
-    v = _v_flip(occ, rows, cols)
-    hv = _v_flip(h, rows, cols)
-    best = min(occ, h, v, hv)
-    if best == occ:
-        return board
-    return GridBoard(rows, cols, best, board.phase)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return _board(_canonical(board))
 
 
 def legal_moves(board: GridBoard) -> list[GridBoard]:
-    """Children of a board: vertical placements plus the button before the
-    push, horizontal placements after it."""
-    rows, cols, occ = board.rows, board.cols, board.occupied
-    full, vert, horiz = _shape_masks(rows, cols)
-    free = ~occ & full
-    out = []
-    if board.phase is Phase.BEFORE:
-        # Button child first: under CRAM it is scored by the closed-form
-        # leaf, so a button-winnable board resolves before any vertical
-        # subtree is opened.
-        out.append(GridBoard(rows, cols, occ, Phase.AFTER))
-        for b in _bits(free & (free >> cols) & vert):
-            out.append(GridBoard(rows, cols, occ | (1 << b) | (1 << (b + cols)), Phase.BEFORE))
-    else:
-        for b in _bits(free & (free >> 1) & horiz):
-            out.append(GridBoard(rows, cols, occ | (1 << b) | (1 << (b + 1)), Phase.AFTER))
-    return out
+    """Children of a board, in the search's order: the button child and the
+    vertical placements before the push, horizontal placements after it."""
+    return [_board(key) for key in _options(_key(board))]
 
 
 def post_button_value(board: GridBoard) -> int:
     """Grundy value of the board's after-button game: xor of strip values over
     the maximal free runs of each row."""
-    total = 0
-    occ, cols = board.occupied, board.cols
-    for r in range(board.rows):
-        run = 0
-        base = r * cols
-        for c in range(cols):
-            if occ & (1 << (base + c)):
-                total ^= g007(run)
-                run = 0
-            else:
-                run += 1
-        total ^= g007(run)
-    return total
+    return _SHAPES[board.rows << 8 | board.cols].value(board.occupied)
 
 
 # -- rulesets -----------------------------------------------------------------
 
-
-def _after_button_value(board: GridBoard) -> int | None:
-    if board.phase is Phase.AFTER:
-        return post_button_value(board)
-    return None
-
-
 #: Pure two-phase search, no strip reduction; for cross-validation.
-CRAM_SEARCH = Ruleset("push-cram-search", legal_moves, canonical=canonical_board)
+CRAM_SEARCH = Ruleset("push-cram-search", _options, canonical=_canonical)
 
 #: Fast solver: CRAM_SEARCH plus the strip-value leaf, which scores every
 #: after-button board in closed form instead of searching it.
-CRAM = Ruleset(
-    "push-cram", legal_moves, canonical=canonical_board, leaf=_after_button_value
-)
+CRAM = Ruleset("push-cram", _options, canonical=_canonical, leaf=_leaf)
 
 
 def cram_outcome(board: GridBoard) -> Outcome:

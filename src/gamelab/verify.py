@@ -318,9 +318,9 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
 
     boards = (
         [(2, n) for n in range(1, 9)]
-        + [(3, 2 * k) for k in range(1, 5)]
+        + [(3, 2 * k) for k in range(1, 9)]
         + [(m, 3) for m in range(1, 10)]
-        + [(2 * k + 1, 4) for k in range(4)]
+        + [(2 * k + 1, 4) for k in range(6)]
     )
     boards += [
         (m, n)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gamelab import arith
 from gamelab.arith import (
     FIB_INDEX_LIMIT,
     PHI_INPUT_LIMIT,
@@ -147,6 +148,14 @@ def test_zeckendorf_examples():
     assert zeckendorf(4) == "101"
     assert zeckendorf(7) == "1010"
     assert zeckendorf(12) == "10101"
+
+
+def test_zeckendorf_checks_its_remainder(monkeypatch):
+    # A table missing fib(2) = 1 cannot spell 4; the check is a raise, so it
+    # holds under python -O too.
+    monkeypatch.setattr(arith, "_fib_table", lambda **_: [0, 1, 3, 5, 8, 13])
+    with pytest.raises(ArithmeticError):
+        zeckendorf(4)
 
 
 def test_zeckendorf_round_trip():

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,28 @@ def test_cache_round_trip(capsys, tmp_path):
     assert code == 0
     stats = json.loads(out)["cache"]
     assert stats["loaded"] > 0
+
+
+def test_cram_cache_round_trip(capsys, tmp_path):
+    path = tmp_path / "cram.cache"
+    argv = ("cram", "--rows", "3", "--cols", "6", "--cache", str(path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cold = json.loads(out)
+    assert cold["cache"]["loaded"] == 0 and cold["cache"]["saved"] is True
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    warm = json.loads(out)
+    assert warm["cache"]["loaded"] > 0
+    assert warm["result"] == cold["result"] == {"outcome": "P"}
+    # A file of the version-1 format, whose Push Cram keys were GridBoards,
+    # is ignored whole instead of merging keys no search can reach.
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = struct.pack(">H", 1)
+    path.write_bytes(bytes(blob))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["cache"]["loaded"] == 0
 
 
 def test_cache_tag_mismatch_ignored(capsys, tmp_path):

@@ -165,5 +165,14 @@ def test_cache_stats_and_tables():
     assert solver.table(Convention.MISERE)[(1, 2)] is Outcome.N
 
 
+def test_outcome_rejects_non_convention():
+    solver = Solver(NIM)
+    for convention in (None, "normal", 0, [Convention.NORMAL]):
+        with pytest.raises(ValueError, match="Convention"):
+            solver.outcome((3, 5), convention)
+    assert solver.outcome((3, 5), Convention.NORMAL) is Outcome.N
+    assert solver.outcome((3, 5), Convention.MISERE) is Outcome.N
+
+
 def test_solver_for_reuses_instances():
     assert solver_for(NIM) is solver_for(NIM)
