@@ -3,7 +3,9 @@
 Every run prints one report.  JSON reports carry {command, params, result,
 timing_ms, cache} with insertion-ordered keys and compact separators, so
 output on identical inputs is byte-identical except for the timing field.
-CSV is available for the tabular payloads (ppos, heatmap).
+CSV is available for the tabular payloads (ppos, heatmap).  `solve`, `grundy`
+and `cram` search with a solver of their own, so the `cache` block, and the
+file `--cache` saves, hold this run's table and nothing from earlier calls.
 
 Exit codes: 0 success, 1 domain errors (bad position, unknown ruleset),
 2 resource limits (memo cap, stream horizon), 3 verification suites that
@@ -183,7 +185,7 @@ def _with_cache(args, solver: Solver, key: Convention | None, compute):
 def _cmd_solve(args):
     convention = Convention(args.convention)
     ruleset, position = _game_position(args)
-    solver = solver_for(ruleset)
+    solver = Solver(ruleset)
     result, cache = _with_cache(
         args, solver, convention, lambda: {"outcome": solver.outcome(position, convention).value}
     )
@@ -199,7 +201,7 @@ def _cmd_solve(args):
 
 def _cmd_grundy(args):
     ruleset, position = _game_position(args)
-    solver = solver_for(ruleset)
+    solver = Solver(ruleset)
     result, cache = _with_cache(
         args, solver, None, lambda: {"grundy": solver.grundy(position)}
     )
@@ -292,7 +294,7 @@ def _cmd_cram(args):
         }
         cache = solver_for(CRAM).cache_stats()
     else:
-        solver = solver_for(CRAM)
+        solver = Solver(CRAM)
         board = empty_board(args.rows, args.cols)
         result, cache = _with_cache(
             args,

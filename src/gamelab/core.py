@@ -85,16 +85,21 @@ class Ruleset:
     """A finite acyclic impartial ruleset.
 
     `options` maps a position to every position reachable in one move, as a
-    list in a deterministic order without duplicates.  `canonical`, when
-    given, maps a position to a fixed representative of its symmetry class
-    (e.g. the sorted heap tuple for heap-symmetric games); solvers memoize on
-    canonical representatives and never reorder anything themselves.
+    list in a deterministic order.  `canonical`, when given, maps a position
+    to a fixed representative of its symmetry class (e.g. the sorted heap
+    tuple for heap-symmetric games), and `options` of a canonical position
+    must list canonical children: solvers canonicalize only the root they
+    are handed, memoize on canonical representatives and never reorder
+    anything themselves.  A child may repeat in the list (two moves may land
+    in one symmetry class); the search just meets it again.
 
     `leaf`, when given, maps a canonical position to its normal-play Grundy
     value where a closed form knows it, and to None elsewhere.  A solver
-    memoizes that value without expanding the position: Grundy searches take
-    it as is, normal-play outcome searches read 0 as P and any other value as
-    N.  Misere searches never consult `leaf` and always search.
+    asks it about the root and about every option that misses the memo, and
+    uses a value it gives without expanding or storing that position (a
+    root that is a leaf is stored): Grundy searches take the value as is,
+    normal-play outcome searches read 0 as P and any other value as N.
+    Misere searches never consult `leaf` and always search.
     """
 
     __slots__ = ("name", "_options", "canonical", "leaf", "__weakref__")
@@ -188,22 +193,32 @@ class Solver:
 
     def _search(self, root: Position, memo: dict, convention: Convention | None):
         """Value of the canonical `root`, filling `memo` with every position
-        the search settles on the way.
+        the search expands on the way.
 
         With `convention` None the values are Grundy values and a node ends
         with the mex of its options; otherwise they are outcomes under that
-        convention and a node ends at its first P option.  Options are
-        canonicalized one at a time as the scan reaches them.
+        convention and a node ends at its first P option.  Options of a
+        canonical position are canonical already, so only the root is ever
+        canonicalized.  An option that misses the memo is put to `leaf`
+        first, and a value the leaf gives is used at once: only expanded
+        positions, and a root that is itself a leaf, are memoized.
         """
         rules = self.ruleset
-        options, canon = rules.options, rules.canonical
+        options = rules.options
         grundy = convention is None
         leaf = None if convention is Convention.MISERE else rules.leaf
         decisive = None if grundy else Outcome.P
         terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
+        if leaf is not None:
+            value = leaf(root)
+            if value is not None:
+                if not grundy:
+                    value = Outcome.P if value == 0 else Outcome.N
+                memo[root] = value
+                return value
         cap_step = 0
-        # Frame layout: [position, lazily canonicalized option iterator or
-        # None, option values seen, option being searched].
+        # Frame layout: [position, option iterator or None, option values
+        # seen, option being searched].
         stack = [[root, None, None, None]]
         on_path = {root}
         while stack:
@@ -211,14 +226,8 @@ class Solver:
             pos, opts, seen, child = frame
             value = None
             if opts is None:
-                if leaf is not None:
-                    value = leaf(pos)
-                    if value is not None and not grundy:
-                        value = Outcome.P if value == 0 else Outcome.N
-                if value is None:
-                    opts = options(pos)
-                    opts = frame[1] = map(canon, opts) if canon else iter(opts)
-                    seen = frame[2] = set()
+                opts = frame[1] = iter(options(pos))
+                seen = frame[2] = set()
             else:
                 found = memo[child]
                 if found is decisive:
@@ -230,8 +239,13 @@ class Solver:
                 for option in opts:
                     found = memo.get(option)
                     if found is None:
-                        child = option
-                        break
+                        if leaf is not None:
+                            found = leaf(option)
+                        if found is None:
+                            child = option
+                            break
+                        if not grundy:
+                            found = Outcome.P if found == 0 else Outcome.N
                     if found is decisive:
                         value = Outcome.N
                         break

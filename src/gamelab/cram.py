@@ -13,12 +13,17 @@ leaf, so both rulesets give the same outcomes and Grundy values everywhere.
 one int key (shape, phase and occupancy), so the memo tables, and the cache
 files the CLI writes from them, are keyed by ints.  Both rulesets share one
 option generator and one canonicalizer over these keys, built on per-shape
-domino lists and on row-reversal and row-strip-value tables that fill as rows
-are met.  Options come mirror first: the button child, then the vertical
+domino lists (each domino with its flip images) and on row-reversal and
+row-strip-value tables that fill as rows are met.  The solver canonicalizes
+only its root; the option generator flips the parent once and lists each
+child already canonical, as the least of the parent's images OR the
+domino's.  Options come mirror first: the button child, then the vertical
 placements whose board equals one of its own flips (the classic mirror
-replies, which often end an outcome node at once), then the rest.
-`legal_moves`, `canonical_board` and `post_button_value` are `GridBoard`
-wrappers over the same kernel.
+replies, which often end an outcome node at once), then the rest.  Under
+`CRAM` every after-button child is a leaf, scored and never stored.
+`canonical_board` and `post_button_value` are `GridBoard` wrappers over the
+same kernel; `legal_moves` lists the raw children of a board in the same
+order.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -174,11 +179,12 @@ class _Shape:
         self.row_shifts = tuple((r * cols, (rows - 1 - r) * cols) for r in range(rows))
         self.reverse = _LazyTable(lambda bits: int(f"{bits:0{cols}b}"[::-1], 2))
         self.strip = _LazyTable(lambda bits: _row_value(bits, cols))
-        # Dominoes in order of their lower cell; vertical ones carry their
-        # h, v and hv images for the mirror test.
+        # Dominoes in order of their lower cell, each with its h, v and hv
+        # images for the children's flips.
         vertical = [1 << b | 1 << (b + cols) for b in range((rows - 1) * cols)]
+        horizontal = [0b11 << b for b in range(rows * cols) if b % cols < cols - 1]
         self.vertical = [(domino, *self.images(domino)) for domino in vertical]
-        self.horizontal = [0b11 << b for b in range(rows * cols) if b % cols < cols - 1]
+        self.horizontal = [(domino, *self.images(domino)) for domino in horizontal]
 
     def images(self, occ: int) -> tuple[int, int, int]:
         """The h, v and hv flips of an occupancy."""
@@ -206,24 +212,35 @@ _SHAPES = _LazyTable(lambda shape_id: _Shape(shape_id >> 8, shape_id & 0xFF))
 
 
 def _options(key: int) -> list[int]:
-    """Children of a key.  Before the button: the button child, then the
-    vertical placements that leave a board equal to one of its own flips
-    (mirror replies, most often the P children that end an outcome node),
-    then the other vertical placements.  After it: horizontal placements."""
+    """Canonical children of a canonical key.  Before the button: the button
+    child, then the vertical placements that leave a board equal to one of
+    its own flips (mirror replies, most often the P children that end an
+    outcome node), then the other vertical placements.  After it: horizontal
+    placements.
+
+    Flips are OR-homomorphisms, so a child's flip images are the parent's
+    images OR the domino's, and its canonical occupancy is the least of the
+    four; two placements that are flips of each other give one child twice.
+    """
     shape = _SHAPES[key >> _SHAPE_SHIFT]
     occ = key & _OCC_MASK
-    if key & _AFTER:
-        return [key | domino for domino in shape.horizontal if not occ & domino]
+    base = key ^ occ
     h, v, hv = shape.images(occ)
+    if key & _AFTER:
+        return [
+            base | min(occ | domino, h | dh, v | dv, hv | dhv)
+            for domino, dh, dv, dhv in shape.horizontal
+            if not occ & domino
+        ]
     out = [key | _AFTER]
     rest = []
     for domino, dh, dv, dhv in shape.vertical:
         if not occ & domino:
-            child = occ | domino
-            if child == h | dh or child == v | dv or child == hv | dhv:
-                out.append(key | domino)
+            child, fh, fv, fhv = occ | domino, h | dh, v | dv, hv | dhv
+            if child == fh or child == fv or child == fhv:
+                out.append(base | min(child, fh, fv, fhv))
             else:
-                rest.append(key | domino)
+                rest.append(base | min(child, fh, fv, fhv))
     out += rest
     return out
 
@@ -260,9 +277,22 @@ def canonical_board(board: GridBoard) -> GridBoard:
 
 
 def legal_moves(board: GridBoard) -> list[GridBoard]:
-    """Children of a board, in the search's order: the button child and the
-    vertical placements before the push, horizontal placements after it."""
-    return [_board(key) for key in _options(_key(board))]
+    """Children of a board as placed, not canonicalized, in the search's
+    order: the button child and the vertical placements (mirror replies
+    first) before the push, horizontal placements after it."""
+    key = _key(board)
+    shape = _SHAPES[key >> _SHAPE_SHIFT]
+    occ = key & _OCC_MASK
+    if key & _AFTER:
+        return [_board(key | d) for d, *_ in shape.horizontal if not occ & d]
+    h, v, hv = shape.images(occ)
+
+    def not_mirror(entry) -> bool:
+        domino, dh, dv, dhv = entry
+        return occ | domino not in (h | dh, v | dv, hv | dhv)
+
+    free = sorted((e for e in shape.vertical if not occ & e[0]), key=not_mirror)
+    return [_board(key | _AFTER)] + [_board(key | e[0]) for e in free]
 
 
 def post_button_value(board: GridBoard) -> int:
@@ -296,15 +326,19 @@ def cram_closed_form(rows: int, cols: int) -> Outcome | None:
     Even row count: pair the rows; whatever happens in one half is mirrored,
     so the second player to commit loses the race — N for the first player
     via the pairing argument.  Odd rows with a zero-value column count: the
-    button answer wins immediately.  Three-row boards of even width are P;
-    three-column boards follow the strip value of the row count; odd-row
-    four-column boards are P.  Everything else is left to search.
+    button answer wins immediately.  A single row has the button as its only
+    move, so it is P whenever the strip value is not zero.  Three-row boards
+    of even width are P; three-column boards follow the strip value of the
+    row count; odd-row four-column boards are P.  Everything else is left to
+    search.
     """
     empty_board(rows, cols)  # validates the shape
     if rows % 2 == 0:
         return Outcome.N
     if g007(cols) == 0:
         return Outcome.N
+    if rows == 1:
+        return Outcome.P
     if rows == 3 and cols % 2 == 0:
         return Outcome.P
     if cols == 3:

@@ -1,9 +1,10 @@
 """Heap rulesets: Nim, Wythoff's game, a Euclid variant, Zeruclid, subtraction.
 
 Positions are tuples of non-negative heap sizes.  Every option function
-returns a duplicate-free list in a deterministic order; all the rulesets here
-are symmetric under permuting heaps, so their solvers memoize on the sorted
-tuple.
+returns a duplicate-free list in a deterministic order.  Nim, Wythoff, Euclid
+and Zeruclid are symmetric under permuting heaps: their solvers memoize on
+the sorted tuple, and their option functions list sorted children of any
+input.
 """
 
 from __future__ import annotations
@@ -32,23 +33,44 @@ def _sorted_tuple(position: tuple) -> tuple:
     return tuple(sorted(position))
 
 
+# The option functions of the heap-symmetric rulesets sort their input once
+# and list sorted children without duplicates: each distinct heap value is
+# lowered once (equal heaps give equal children), and the lowered value is
+# inserted at an index that only moves one way as the new value runs.
+
+
 def nim_options(position: tuple) -> list[tuple]:
     """Take any positive number of tokens from one heap."""
-    _check_heaps(position)
+    s = _sorted_tuple(_check_heaps(position))
     opts = []
-    for j, h in enumerate(position):
-        head, tail = position[:j], position[j + 1 :]
+    prev = None
+    for j, h in enumerate(s):
+        if h == prev:
+            continue
+        prev = h
+        rest = s[j + 1 :]
+        # Inserting the new value at i keeps the tuple sorted; i rises with it.
+        i = 0
+        head, tail = (), s[:j] + rest
         for new in range(h):
+            if s[i] < new:
+                while s[i] < new:
+                    i += 1
+                head, tail = s[:i], s[i:j] + rest
             opts.append(head + (new,) + tail)
     return opts
 
 
 def wythoff_options(position: tuple) -> list[tuple]:
     """Nim moves on two heaps, plus taking the same positive amount from both."""
-    a, b = _check_heaps(position, arity=2)
+    a, b = _sorted_tuple(_check_heaps(position, arity=2))
     opts = [(x, b) for x in range(a)]
-    opts += [(a, y) for y in range(b)]
-    opts += [(a - k, b - k) for k in range(1, min(a, b) + 1)]
+    if a < b:
+        opts += [(y, a) for y in range(a)]
+        opts += [(a, y) for y in range(a, b)]
+    # Taking b - a from both lands on (2a - b, a), a lowering of b above.
+    twin = b - a if 0 < b - a <= a else 0
+    opts += [(a - k, b - k) for k in range(1, a + 1) if k != twin]
     return opts
 
 
@@ -58,29 +80,41 @@ def euclid_options(position: tuple) -> list[tuple]:
     Equal positive heaps and (0, 0) are terminal; a pair with exactly one
     empty heap has the single escape move to (0, 0).
     """
-    a, b = _check_heaps(position, arity=2)
-    if a == 0 or b == 0:
-        return [] if a == b else [(0, 0)]
+    a, b = _sorted_tuple(_check_heaps(position, arity=2))
+    if a == 0:
+        return [] if b == 0 else [(0, 0)]
     if a == b:
         return []
-    if a < b:
-        return [(a, b - k * a) for k in range(1, (b - 1) // a + 1)]
-    return [(a - k * b, b) for k in range(1, (a - 1) // b + 1)]
+    # b - k*a falls by a per step and crosses below a exactly once.
+    cut = (b - a) // a
+    return [(a, b - k * a) for k in range(1, cut + 1)] + [
+        (b - k * a, a) for k in range(cut + 1, (b - 1) // a + 1)
+    ]
 
 
 def zeruclid_options(position: tuple) -> list[tuple]:
     """Remove a positive multiple of the smallest non-zero heap from any heap,
     keeping every heap non-negative.  All heaps empty is terminal."""
-    _check_heaps(position)
-    nonzero = [h for h in position if h]
-    if not nonzero:
+    s = _sorted_tuple(_check_heaps(position))
+    m = next((h for h in s if h), 0)
+    if not m:
         return []
-    m = min(nonzero)
     opts = []
-    for j, h in enumerate(position):
-        head, tail = position[:j], position[j + 1 :]
-        for k in range(1, h // m + 1):
-            opts.append(head + (h - k * m,) + tail)
+    prev = 0  # empty heaps have nothing to lower
+    for j, h in enumerate(s):
+        if h == prev:
+            continue
+        prev = h
+        rest = s[j + 1 :]
+        # The new value h - k*m falls as k rises, so its index i only falls.
+        i = j
+        head, tail = s[:j], rest
+        for new in range(h - m, -1, -m):
+            if i and s[i - 1] > new:
+                while i and s[i - 1] > new:
+                    i -= 1
+                head, tail = s[:i], s[i:j] + rest
+            opts.append(head + (new,) + tail)
     return opts
 
 

@@ -355,6 +355,19 @@ def test_cram_cache_round_trip(capsys, tmp_path):
     assert json.loads(out)["cache"]["loaded"] == 0
 
 
+def test_cram_cache_holds_only_this_run(capsys, tmp_path):
+    path = tmp_path / "cram.cache"
+    argv = ("cram", "--rows", "3", "--cols", "6", "--cache", str(path))
+    _, out, _ = run_cli(capsys, *argv)
+    alone = json.loads(out)["cache"]["entries"]
+    path.unlink()
+    run_cli(capsys, "cram", "--rows", "5", "--cols", "5")
+    _, out, _ = run_cli(capsys, *argv)
+    after_other = json.loads(out)["cache"]
+    assert after_other["loaded"] == 0
+    assert after_other["entries"] == alone > 0
+
+
 def test_cache_tag_mismatch_ignored(capsys, tmp_path):
     path = str(tmp_path / "mix.cache")
     run_cli(capsys, "solve", "--ruleset", "nim", "--pos", "9,10", "--cache", path)

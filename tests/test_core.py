@@ -1,6 +1,7 @@
 """Solver engine: outcomes, Grundy values, memo caps, conventions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,9 @@ from gamelab.core import (
     sum_grundy,
     sum_rulesets,
 )
-from gamelab.heaps import NIM, ZERUCLID, subtraction
+from gamelab.cram import CRAM, CRAM_SEARCH, MAX_CELLS, GridBoard
+from gamelab.heaps import EUCLID, NIM, WYTHOFF, ZERUCLID, subtraction
+from gamelab.push import COMPOUNDS, Phase, PushPosition, compound_ruleset
 
 from reference import naive_grundy, naive_outcome, nim_moves
 
@@ -113,6 +116,48 @@ def test_leaf_hook_matches_search():
         assert lying.outcome(pos, Convention.MISERE) is plain.outcome(pos, Convention.MISERE), pos
     assert expanded == []
     assert lying.outcome((1,)) is Outcome.P  # normal play does consult the leaf
+
+
+def _assert_children_canonical(ruleset, positions):
+    canon = ruleset.canonical
+    for pos in positions:
+        root = canon(pos)
+        for child in ruleset.options(root):
+            assert canon(child) == child, (ruleset.name, root, child)
+
+
+def test_children_of_canonical_positions_are_canonical():
+    pairs = list(itertools.product(range(9), repeat=2))
+    for ruleset in (NIM, WYTHOFF, EUCLID, ZERUCLID):
+        _assert_children_canonical(ruleset, pairs)
+    for ruleset in (NIM, ZERUCLID):
+        _assert_children_canonical(ruleset, itertools.product(range(9), repeat=3))
+    for name in COMPOUNDS:
+        _assert_children_canonical(
+            compound_ruleset(name),
+            [PushPosition(phase, pair) for phase in Phase for pair in pairs],
+        )
+    rng = random.Random(7)
+    boards = []
+    for rows, cols in itertools.product(range(3, 6), range(4, 6)):
+        for _ in range(20):
+            occ = rng.getrandbits(rows * cols) & rng.getrandbits(rows * cols)
+            boards += [GridBoard(rows, cols, occ, phase) for phase in Phase]
+    for ruleset in (CRAM, CRAM_SEARCH):
+        _assert_children_canonical(ruleset, boards)
+
+
+def test_leaf_positions_are_never_stored():
+    # Push Cram keys carry the AFTER bit at position MAX_CELLS; every
+    # after-button child is a leaf of CRAM, so normal play stores none.
+    solver = Solver(CRAM)
+    for rows, cols in [(3, 4), (4, 4), (5, 4), (3, 5), (5, 5)]:
+        solver.outcome(GridBoard(rows, cols))
+        solver.grundy(GridBoard(rows, cols))
+        solver.outcome(GridBoard(rows, cols), Convention.MISERE)
+    for table in (solver.table(None), solver.table(Convention.NORMAL)):
+        assert table and not any(key >> MAX_CELLS & 1 for key in table)
+    assert any(key >> MAX_CELLS & 1 for key in solver.table(Convention.MISERE))
 
 
 def test_grundy_cap_is_checked(monkeypatch):

@@ -303,6 +303,19 @@ def test_closed_form_matches_search_small():
                 assert cram_outcome(empty_board(rows, cols)) is want, (rows, cols)
 
 
+def test_one_row_rule_matches_search():
+    # A 1 x n board's only move is the button: P iff the strip is an N-position.
+    fast, pure = Solver(CRAM), Solver(CRAM_SEARCH)
+    for n in range(1, 65):
+        want = cram_closed_form(1, n)
+        assert want is (P if strip_value(n) != 0 else N), n
+        assert fast.outcome(empty_board(1, n)) is want, n
+        # The pure search holds about 20 k entries at n = 24 and 946 k at
+        # n = 32, growing about eightfold per four cells.
+        if n <= 24:
+            assert pure.outcome(empty_board(1, n)) is want, n
+
+
 # -- bluff audit ----------------------------------------------------------------
 
 
