@@ -5,7 +5,8 @@ timing_ms, cache} with insertion-ordered keys and compact separators, so
 output on identical inputs is byte-identical except for the timing field.
 CSV is available for the tabular payloads (ppos, heatmap).  `solve`, `grundy`
 and `cram` search with a solver of their own, so the `cache` block, and the
-file `--cache` saves, hold this run's table and nothing from earlier calls.
+file `--cache` saves, hold this run's table and nothing from earlier calls;
+`heatmap` and `cram --bluff` use the shared solvers, which keep those too.
 
 Exit codes: 0 success, 1 domain errors (bad position, unknown ruleset),
 2 resource limits (memo cap, stream horizon), 3 verification suites that
@@ -56,7 +57,7 @@ EX_COUNTEREXAMPLES = 3
 EX_USAGE = 64
 
 CACHE_MAGIC = b"GLMC"
-CACHE_VERSION = 2  # 2: Push Cram memo keys are ints, not GridBoards
+CACHE_VERSION = 3  # 2: Cram keys are ints; 3: pre-button push keys are bare
 
 
 class UsageError(Exception):
@@ -282,17 +283,12 @@ def _cmd_period(args):
 
 def _cmd_cram(args):
     if args.bluff:
-        report = bluff_report(args.rows, args.cols)
-        result = {
-            "outcome": report.outcome.value,
-            "bluff": {
-                "holds": report.holds,
-                "phase1_value": report.phase1_value,
-                "total_phase1_moves": report.total_phase1_moves,
-                "losing_phase1_moves": report.losing_phase1_moves,
-            },
-        }
-        cache = solver_for(CRAM).cache_stats()
+
+        def bluff():
+            report = bluff_report(args.rows, args.cols)._asdict()
+            return {"outcome": report.pop("outcome").value, "bluff": report}
+
+        result, cache = _with_cache(args, solver_for(CRAM), Convention.NORMAL, bluff)
     else:
         solver = Solver(CRAM)
         board = empty_board(args.rows, args.cols)

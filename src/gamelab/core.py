@@ -13,7 +13,7 @@ import enum
 import os
 import weakref
 from functools import reduce
-from operator import xor
+from operator import attrgetter, xor
 from typing import Callable, Hashable, Iterable
 
 Position = Hashable
@@ -85,7 +85,8 @@ class Ruleset:
     """A finite acyclic impartial ruleset.
 
     `options` maps a position to every position reachable in one move, as a
-    list in a deterministic order.  `canonical`, when given, maps a position
+    list in a deterministic order (a read-only property: the callable itself,
+    so a call costs no extra frame).  `canonical`, when given, maps a position
     to a fixed representative of its symmetry class (e.g. the sorted heap
     tuple for heap-symmetric games), and `options` of a canonical position
     must list canonical children: solvers canonicalize only the root they
@@ -99,7 +100,8 @@ class Ruleset:
     uses a value it gives without expanding or storing that position (a
     root that is a leaf is stored): Grundy searches take the value as is,
     normal-play outcome searches read 0 as P and any other value as N.
-    Misere searches never consult `leaf` and always search.
+    Misere searches never consult `leaf` and always search.  A push compound
+    passes its second ruleset's `leaf` through for after-button positions.
     """
 
     __slots__ = ("name", "_options", "canonical", "leaf", "__weakref__")
@@ -116,8 +118,7 @@ class Ruleset:
         self.canonical = canonical
         self.leaf = leaf
 
-    def options(self, position: Position) -> list:
-        return self._options(position)
+    options = property(attrgetter("_options"))
 
     def __repr__(self) -> str:
         return f"Ruleset({self.name!r})"

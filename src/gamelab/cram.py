@@ -1,26 +1,26 @@
 """Push Cram: vertical dominoes, then the button, then horizontal dominoes.
 
-Boards are rectangular bitboards (row-major, at most 64 cells) tagged with the
-button phase.  After the button, rows no longer interact: the remaining game
+`CRAM` is ``push_ruleset(VERTICAL, HORIZONTAL)``, so the button phase is
+:mod:`gamelab.push`'s alone.  Boards are rectangular bitboards (row-major, at
+most 64 cells).  After the button, rows no longer interact: the remaining game
 is a disjoint sum of one-row strips, and a strip of length n has the Grundy
 value of the take-two-and-split heap game (mex over g(i) xor g(n-2-i)), i.e.
-Dawson's Kayles, octal 0.07.  `CRAM_SEARCH` is the pure two-phase search;
-`CRAM` is the same ruleset plus a closed-form leaf that scores every
-after-button board by that strip-value xor.  Misere searches never use the
-leaf, so both rulesets give the same outcomes and Grundy values everywhere.
+Dawson's Kayles, octal 0.07.  `HORIZONTAL` scores every board by that
+strip-value xor through its closed-form leaf; `CRAM_SEARCH` is the same
+compound over a leafless horizontal ruleset.  Misere searches never use the
+leaf, so both give the same outcomes and Grundy values everywhere.
 
-`GridBoard` is the public and record type.  Inside the solver a position is
-one int key (shape, phase and occupancy), so the memo tables, and the cache
-files the CLI writes from them, are keyed by ints.  Both rulesets share one
-option generator and one canonicalizer over these keys, built on per-shape
-domino lists (each domino with its flip images) and on row-reversal and
-row-strip-value tables that fill as rows are met.  The solver canonicalizes
-only its root; the option generator flips the parent once and lists each
-child already canonical, as the least of the parent's images OR the
-domino's.  Options come mirror first: the button child, then the vertical
-placements whose board equals one of its own flips (the classic mirror
-replies, which often end an outcome node at once), then the rest.  Under
-`CRAM` every after-button child is a leaf, scored and never stored.
+`GridBoard` is the public and record type.  Inside the solver a board is one
+int key (shape and occupancy), so the memo tables, and the cache files the
+CLI writes from them, are keyed by ints, wrapped after the button.  Both
+domino rulesets share one option generator and one canonicalizer over these
+keys, built on per-shape domino lists (each domino with its flip images) and
+on row-reversal and row-strip-value tables that fill as rows are met.  The
+solver canonicalizes only its root; the option generator flips the parent
+once and lists each child already canonical, as the least of the parent's
+images OR the domino's.  Options come mirror first: the placements whose
+board equals one of its own flips (the classic mirror replies, which often
+end an outcome node at once), then the rest; the button child precedes them.
 `canonical_board` and `post_button_value` are `GridBoard` wrappers over the
 same kernel; `legal_moves` lists the raw children of a board in the same
 order.
@@ -31,14 +31,14 @@ preserve domino orientation, transposition does not and is never applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import core
 from .core import Outcome, Ruleset, mex
 from .periodicity import PeriodCertificate, certified_split_period
-from .push import Phase
+from .push import Phase, PushPosition, push_ruleset
 
 MAX_CELLS = 64
 
@@ -134,13 +134,11 @@ class GridBoard:
 
 # -- the search kernel ----------------------------------------------------------
 #
-# Inside the solver a position is one int key,
-#     ((rows << 8 | cols) << 1 | after) << 64 | occupied,
-# so a child is its parent's key with a domino's bits or the AFTER bit set.
+# Inside the solver a board is one int key, (rows << 8 | cols) << 64 | occupied,
+# so a child is its parent's key with a domino's bits set.
 
 _OCC_MASK = (1 << MAX_CELLS) - 1
-_AFTER = 1 << MAX_CELLS
-_SHAPE_SHIFT = MAX_CELLS + 1
+_SHAPE_SHIFT = MAX_CELLS
 
 
 class _LazyTable(dict):
@@ -199,116 +197,110 @@ class _Shape:
                 hv |= flipped << mirror
         return h, v, hv
 
-    def value(self, occ: int) -> int:
-        """Grundy value of the after-button game: xor of the rows' values."""
-        strip, mask = self.strip, self.row_mask
-        total = 0
-        for at, _ in self.row_shifts:
-            total ^= strip[occ >> at & mask]
-        return total
-
 
 _SHAPES = _LazyTable(lambda shape_id: _Shape(shape_id >> 8, shape_id & 0xFF))
 
 
-def _options(key: int) -> list[int]:
-    """Canonical children of a canonical key.  Before the button: the button
-    child, then the vertical placements that leave a board equal to one of
-    its own flips (mirror replies, most often the P children that end an
-    outcome node), then the other vertical placements.  After it: horizontal
-    placements.
+def _placements(orientation: str):
+    """Options placing the dominoes of the `_Shape` attribute `orientation`:
+    the canonical children of a canonical key, mirror first (placements that
+    leave a board equal to one of its own flips, most often the P children
+    that end an outcome node), then the rest.  Flips are OR-homomorphisms, so
+    a child's flip images are the parent's images OR the domino's, and its
+    canonical occupancy is the least of the four; two placements that are
+    flips of each other give one child twice."""
 
-    Flips are OR-homomorphisms, so a child's flip images are the parent's
-    images OR the domino's, and its canonical occupancy is the least of the
-    four; two placements that are flips of each other give one child twice.
-    """
+    def options(key: int) -> list[int]:
+        shape = _SHAPES[key >> _SHAPE_SHIFT]
+        occ = key & _OCC_MASK
+        base = key ^ occ
+        h, v, hv = shape.images(occ)
+        out = []
+        rest = []
+        for domino, dh, dv, dhv in getattr(shape, orientation):
+            if not occ & domino:
+                child, fh, fv, fhv = occ | domino, h | dh, v | dv, hv | dhv
+                if child == fh or child == fv or child == fhv:
+                    out.append(base | min(child, fh, fv, fhv))
+                else:
+                    rest.append(base | min(child, fh, fv, fhv))
+        out += rest
+        return out
+
+    return options
+
+
+def _canonical(position):
+    """Key of the least occupancy over the flip group {identity, h, v, hv}; a
+    GridBoard root maps to its CRAM position (the key, wrapped after the button)."""
+    if position.__class__ is GridBoard:
+        key = _canonical(_key(position))
+        return PushPosition(Phase.AFTER, key) if position.phase is Phase.AFTER else key
+    occ = position & _OCC_MASK
+    return position ^ occ | min(occ, *_SHAPES[position >> _SHAPE_SHIFT].images(occ))
+
+
+def _strip_xor(key: int) -> int:
+    """Grundy value of a key under horizontal play: xor of the rows' values."""
     shape = _SHAPES[key >> _SHAPE_SHIFT]
-    occ = key & _OCC_MASK
-    base = key ^ occ
-    h, v, hv = shape.images(occ)
-    if key & _AFTER:
-        return [
-            base | min(occ | domino, h | dh, v | dv, hv | dhv)
-            for domino, dh, dv, dhv in shape.horizontal
-            if not occ & domino
-        ]
-    out = [key | _AFTER]
-    rest = []
-    for domino, dh, dv, dhv in shape.vertical:
-        if not occ & domino:
-            child, fh, fv, fhv = occ | domino, h | dh, v | dv, hv | dhv
-            if child == fh or child == fv or child == fhv:
-                out.append(base | min(child, fh, fv, fhv))
-            else:
-                rest.append(base | min(child, fh, fv, fhv))
-    out += rest
-    return out
-
-
-def _canonical(position) -> int:
-    """Key of the least occupancy over the flip group {identity, h, v, hv};
-    takes a key or a GridBoard."""
-    key = position if position.__class__ is int else _key(position)
-    occ = key & _OCC_MASK
-    return key ^ occ | min(occ, *_SHAPES[key >> _SHAPE_SHIFT].images(occ))
-
-
-def _leaf(key: int) -> int | None:
-    """Strip-value xor of an after-button key; None before the button."""
-    if key & _AFTER:
-        return _SHAPES[key >> _SHAPE_SHIFT].value(key & _OCC_MASK)
-    return None
+    strip, mask = shape.strip, shape.row_mask
+    total = 0
+    for at, _ in shape.row_shifts:
+        total ^= strip[key >> at & mask]  # rows end below the shape bits
+    return total
 
 
 def _key(board: GridBoard) -> int:
-    shape_id = board.rows << 8 | board.cols
-    return shape_id << _SHAPE_SHIFT | (board.phase is Phase.AFTER) << MAX_CELLS | board.occupied
-
-
-def _board(key: int) -> GridBoard:
-    shape_id = key >> _SHAPE_SHIFT
-    phase = Phase.AFTER if key & _AFTER else Phase.BEFORE
-    return GridBoard(shape_id >> 8, shape_id & 0xFF, key & _OCC_MASK, phase)
+    return (board.rows << 8 | board.cols) << _SHAPE_SHIFT | board.occupied
 
 
 def canonical_board(board: GridBoard) -> GridBoard:
     """Least occupancy over the flip group {identity, h, v, hv}."""
-    return _board(_canonical(board))
+    return replace(board, occupied=_canonical(_key(board)) & _OCC_MASK)
 
 
 def legal_moves(board: GridBoard) -> list[GridBoard]:
     """Children of a board as placed, not canonicalized, in the search's
-    order: the button child and the vertical placements (mirror replies
-    first) before the push, horizontal placements after it."""
-    key = _key(board)
-    shape = _SHAPES[key >> _SHAPE_SHIFT]
-    occ = key & _OCC_MASK
-    if key & _AFTER:
-        return [_board(key | d) for d, *_ in shape.horizontal if not occ & d]
+    order: before the push the button child, then the vertical placements;
+    after it the horizontal placements; mirror replies first in each."""
+    occ = board.occupied
+    shape = _SHAPES[board.rows << 8 | board.cols]
     h, v, hv = shape.images(occ)
 
     def not_mirror(entry) -> bool:
         domino, dh, dv, dhv = entry
         return occ | domino not in (h | dh, v | dv, hv | dhv)
 
-    free = sorted((e for e in shape.vertical if not occ & e[0]), key=not_mirror)
-    return [_board(key | _AFTER)] + [_board(key | e[0]) for e in free]
+    after = board.phase is Phase.AFTER
+    dominoes = shape.horizontal if after else shape.vertical
+    free = sorted((e for e in dominoes if not occ & e[0]), key=not_mirror)
+    moves = [replace(board, occupied=occ | e[0]) for e in free]
+    return moves if after else [replace(board, phase=Phase.AFTER), *moves]
 
 
 def post_button_value(board: GridBoard) -> int:
     """Grundy value of the board's after-button game: xor of strip values over
     the maximal free runs of each row."""
-    return _SHAPES[board.rows << 8 | board.cols].value(board.occupied)
+    return _strip_xor(_key(board))
 
 
 # -- rulesets -----------------------------------------------------------------
 
-#: Pure two-phase search, no strip reduction; for cross-validation.
-CRAM_SEARCH = Ruleset("push-cram-search", _options, canonical=_canonical)
+#: Vertical dominoes: the game before the button.
+VERTICAL = Ruleset("vertical-dominoes", _placements("vertical"), canonical=_canonical)
 
-#: Fast solver: CRAM_SEARCH plus the strip-value leaf, which scores every
-#: after-button board in closed form instead of searching it.
-CRAM = Ruleset("push-cram", _options, canonical=_canonical, leaf=_leaf)
+#: Horizontal dominoes, scored in closed form by the strip-value xor.
+HORIZONTAL = Ruleset(
+    "horizontal-dominoes", _placements("horizontal"), canonical=_canonical, leaf=_strip_xor
+)
+
+#: Fast solver: HORIZONTAL's leaf scores every after-button board.
+CRAM = push_ruleset(VERTICAL, HORIZONTAL)
+
+#: Pure two-phase search, no strip reduction; for cross-validation.
+CRAM_SEARCH = push_ruleset(
+    VERTICAL, Ruleset("horizontal-dominoes-search", HORIZONTAL.options, canonical=_canonical)
+)
 
 
 def cram_outcome(board: GridBoard) -> Outcome:

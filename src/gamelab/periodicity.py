@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import core
 from .core import Convention, Outcome, Ruleset
 from .heaps import subtraction
-from .push import Phase, PushPosition, push_ruleset
+from .push import push_ruleset
 
 
 class HorizonExceeded(Exception):
@@ -76,7 +76,7 @@ def outcome_stream(
     """
     solver = core.solver_for(push_ruleset(subtraction(s1), r2))
     for n in count():
-        yield solver.outcome(PushPosition(Phase.BEFORE, (n,)), convention)
+        yield solver.outcome((n,), convention)
 
 
 def outcome_sequence(
@@ -95,7 +95,7 @@ def grundy_stream(s1: Iterable[int], r2: Ruleset) -> Iterator[int]:
     read off the same solver as :func:`outcome_stream`."""
     solver = core.solver_for(push_ruleset(subtraction(s1), r2))
     for n in count():
-        yield solver.grundy(PushPosition(Phase.BEFORE, (n,)))
+        yield solver.grundy((n,))
 
 
 def grundy_sequence(s1: Iterable[int], r2: Ruleset, length: int) -> list[int]:

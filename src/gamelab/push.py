@@ -1,9 +1,9 @@
 """The push-the-button combinator and its solved two-heap compounds.
 
-A compound position is an inner position tagged with a phase.  Before the
-button is pushed, moves come from the first ruleset and pushing the button is
-always available as an extra move (it changes nothing but the phase); after
-the push, moves come from the second ruleset.
+Before the button is pushed, moves come from the first ruleset and pushing
+the button is always available as an extra move (it changes nothing but the
+phase); after the push, moves come from the second ruleset, whose `leaf`
+scores after-button positions.  Push Cram (:mod:`gamelab.cram`) is one.
 
 The four compounds built from Nim, Wythoff's game and the Euclid variant all
 have closed-form P-position tests, implemented here in exact integer
@@ -52,34 +52,44 @@ class PushPosition(NamedTuple):
     inner: Position
 
 
-def push_options(r1: Ruleset, r2: Ruleset, position: PushPosition) -> list[PushPosition]:
-    """Moves of the compound at `position` (see module docstring)."""
-    phase, g = position
-    if phase is Phase.BEFORE:
-        # Button child first: its subtree is the bare second game, far
-        # smaller than the pre-button tree, so it is the cheapest N-witness.
-        opts = [PushPosition(Phase.AFTER, g)]
-        opts += [PushPosition(Phase.BEFORE, h) for h in r1.options(g)]
-        return opts
-    if phase is Phase.AFTER:
-        return [PushPosition(Phase.AFTER, h) for h in r2.options(g)]
-    raise ValueError(f"bad phase in {position!r}")
-
-
 @lru_cache(maxsize=None)
 def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
-    """The compound as a ruleset over :class:`PushPosition`."""
-    canonical = None
-    if r1.canonical is not None and r1.canonical is r2.canonical:
-        inner = r1.canonical
+    """The compound r1 then r2.  Before the button a position is r1's own
+    position g (r1's positions are never PushPositions); the button wraps it
+    as PushPosition(Phase.AFTER, g) and r2 moves inside that wrapper.  A root
+    PushPosition(Phase.BEFORE, g) is read as g.  Children are canonical only
+    when r1 and r2 share one `canonical`; otherwise that just unwraps roots."""
+    options1, options2 = r1.options, r2.options
+    shared = r1.canonical if r1.canonical is r2.canonical else None
+    after = Phase.AFTER
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__ per child
 
-        def canonical(p: PushPosition) -> PushPosition:
-            return PushPosition(p.phase, inner(p.inner))
+    def options(p):
+        if p.__class__ is not PushPosition:
+            # Button child first: the bare second game is the cheapest N-witness.
+            opts = [new(PushPosition, (after, p))]
+            opts += options1(p)
+            return opts
+        phase, g = p
+        if phase is not after:
+            raise ValueError(f"{p!r} is not a canonical compound position")
+        return [new(PushPosition, (after, h)) for h in options2(g)]
 
-    def options(p: PushPosition) -> list[PushPosition]:
-        return push_options(r1, r2, p)
+    def canonical(p):
+        if p.__class__ is PushPosition:
+            phase, p = p
+            if phase is after:
+                return new(PushPosition, (after, shared(p) if shared else p))
+            if phase is not Phase.BEFORE:
+                raise ValueError(f"bad phase {phase!r}")
+        return shared(p) if shared else p
 
-    return Ruleset(f"push({r1.name},{r2.name})", options, canonical)
+    leaf2 = r2.leaf
+
+    def leaf(p):
+        return leaf2(p[1]) if p.__class__ is PushPosition else None
+
+    return Ruleset(f"push({r1.name},{r2.name})", options, canonical, leaf if leaf2 else None)
 
 
 COMPOUNDS = {

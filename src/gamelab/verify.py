@@ -32,7 +32,6 @@ from .periodicity import (
 from .push import (
     COMPOUNDS,
     Phase,
-    PushPosition,
     compound_ruleset,
     is_nim_euclid_p,
     nim_euclid_fib_classify,
@@ -57,7 +56,7 @@ def suite_push_lemma(nim_max: int = 15, sub_max: int = 30) -> dict:
     for a in range(nim_max + 1):
         for b in range(a, nim_max + 1):
             checks += 1
-            lhs = rr.grundy(PushPosition(Phase.BEFORE, (a, b)))
+            lhs = rr.grundy((a, b))
             rhs = plus_star.grundy(((a, b), (1,)))
             if lhs != rhs:
                 bad.append(
@@ -69,7 +68,7 @@ def suite_push_lemma(nim_max: int = 15, sub_max: int = 30) -> dict:
     plus_star = Solver(sum_rulesets(s12, NIM))
     for n in range(sub_max + 1):
         checks += 1
-        lhs = rr.grundy(PushPosition(Phase.BEFORE, (n,)))
+        lhs = rr.grundy((n,))
         rhs = plus_star.grundy(((n,), (1,)))
         if lhs != rhs:
             bad.append(
@@ -92,7 +91,7 @@ def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> 
         for x in range(limit + 1):
             for y in range(limit + 1):
                 checks += 1
-                got = solver.outcome(PushPosition(Phase.BEFORE, (x, y)))
+                got = solver.outcome((x, y))
                 want = push_p_oracle(name, (x, y))
                 if got is not want:
                     bad.append(
@@ -107,11 +106,10 @@ def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> 
         for x in range(structural_limit + 1):
             for y in range(structural_limit + 1):
                 checks += 1
-                pos = PushPosition(Phase.BEFORE, (x, y))
-                is_p = solver.outcome(pos) is Outcome.P
+                is_p = solver.outcome((x, y)) is Outcome.P
                 push_back_loses = inner_solver.outcome((x, y)) is Outcome.N
                 all_moves_lose = all(
-                    solver.outcome(PushPosition(Phase.BEFORE, opt)) is Outcome.N
+                    solver.outcome(opt) is Outcome.N
                     for opt in r1.options((x, y))
                 )
                 if is_p != (push_back_loses and all_moves_lose):
@@ -180,7 +178,7 @@ def suite_nim_euclid_triple(
     for x in range(brute + 1):
         for y in range(x, brute + 1):
             checks += 1
-            got = solver.outcome(PushPosition(Phase.BEFORE, (x, y)))
+            got = solver.outcome((x, y))
             want = Outcome.P if is_nim_euclid_p(x, y) else Outcome.N
             if got is not want:
                 bad.append({"position": [x, y], "search": got.name, "closed_form": want.name})

@@ -345,14 +345,32 @@ def test_cram_cache_round_trip(capsys, tmp_path):
     warm = json.loads(out)
     assert warm["cache"]["loaded"] > 0
     assert warm["result"] == cold["result"] == {"outcome": "P"}
-    # A file of the version-1 format, whose Push Cram keys were GridBoards,
-    # is ignored whole instead of merging keys no search can reach.
-    blob = bytearray(path.read_bytes())
-    blob[4:6] = struct.pack(">H", 1)
-    path.write_bytes(bytes(blob))
+    # Files of older formats are ignored whole instead of merging keys no
+    # search can reach: version 1 keyed Push Cram by GridBoards, version 2
+    # by ints carrying a phase bit.
+    for version in (1, 2):
+        blob = bytearray(path.read_bytes())
+        blob[4:6] = struct.pack(">H", version)
+        path.write_bytes(bytes(blob))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["cache"]["loaded"] == 0, version
+
+
+def test_cram_bluff_cache_round_trip(capsys, tmp_path):
+    path = tmp_path / "bluff.cache"
+    argv = ("cram", "--rows", "3", "--cols", "5", "--bluff", "--cache", str(path))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["cache"]["loaded"] == 0
+    cold = json.loads(out)
+    assert cold["cache"]["file"] == str(path)
+    assert cold["cache"]["loaded"] == 0 and cold["cache"]["saved"] is True
+    assert path.exists()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    warm = json.loads(out)
+    assert warm["cache"]["loaded"] > 0
+    assert warm["result"] == cold["result"]
 
 
 def test_cram_cache_holds_only_this_run(capsys, tmp_path):

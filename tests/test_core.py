@@ -20,7 +20,7 @@ from gamelab.core import (
     sum_grundy,
     sum_rulesets,
 )
-from gamelab.cram import CRAM, CRAM_SEARCH, MAX_CELLS, GridBoard
+from gamelab.cram import CRAM, CRAM_SEARCH, GridBoard
 from gamelab.heaps import EUCLID, NIM, WYTHOFF, ZERUCLID, subtraction
 from gamelab.push import COMPOUNDS, Phase, PushPosition, compound_ruleset
 
@@ -148,16 +148,17 @@ def test_children_of_canonical_positions_are_canonical():
 
 
 def test_leaf_positions_are_never_stored():
-    # Push Cram keys carry the AFTER bit at position MAX_CELLS; every
-    # after-button child is a leaf of CRAM, so normal play stores none.
+    # Push Cram keys are bare ints before the button and PushPositions after
+    # it; every after-button child is a leaf of CRAM, so normal play and
+    # Grundy searches store only ints, while misere play searches them.
     solver = Solver(CRAM)
     for rows, cols in [(3, 4), (4, 4), (5, 4), (3, 5), (5, 5)]:
         solver.outcome(GridBoard(rows, cols))
         solver.grundy(GridBoard(rows, cols))
         solver.outcome(GridBoard(rows, cols), Convention.MISERE)
     for table in (solver.table(None), solver.table(Convention.NORMAL)):
-        assert table and not any(key >> MAX_CELLS & 1 for key in table)
-    assert any(key >> MAX_CELLS & 1 for key in solver.table(Convention.MISERE))
+        assert table and all(key.__class__ is int for key in table)
+    assert any(key.__class__ is PushPosition for key in solver.table(Convention.MISERE))
 
 
 def test_grundy_cap_is_checked(monkeypatch):

@@ -9,6 +9,8 @@ from gamelab.core import Convention, Outcome, Solver
 from gamelab.cram import (
     CRAM,
     CRAM_SEARCH,
+    HORIZONTAL,
+    VERTICAL,
     MAX_CELLS,
     BluffReport,
     GridBoard,
@@ -25,6 +27,8 @@ from gamelab.cram import (
     phase1_value,
     post_button_value,
 )
+
+from gamelab.push import push_ruleset
 
 from reference import board_state, cram_moves, cram_start, naive_outcome, strip_value
 
@@ -236,6 +240,11 @@ def test_post_button_value_equals_search_grundy():
 
 
 # -- outcomes ------------------------------------------------------------------
+
+
+def test_cram_is_the_push_compound():
+    assert CRAM is push_ruleset(VERTICAL, HORIZONTAL)
+    assert CRAM.leaf is not None and CRAM_SEARCH.leaf is None
 
 
 def test_outcome_examples():

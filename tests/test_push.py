@@ -2,7 +2,7 @@
 
 import pytest
 
-from gamelab.core import Outcome, Solver, sum_rulesets
+from gamelab.core import Convention, Outcome, Ruleset, Solver, sum_grundy, sum_rulesets
 from gamelab.heaps import EUCLID, NIM, WYTHOFF, subtraction
 from gamelab.push import (
     COMPOUND_ORACLES,
@@ -27,11 +27,14 @@ NIM_EUCLID = compound_ruleset("nim-euclid")
 
 
 def test_option_lists():
+    # Before the button a position is the first ruleset's own; a BEFORE
+    # wrapper is read as that position by `canonical` and by nothing else.
     canonical = NIM_EUCLID.canonical
-    assert NIM_EUCLID.options(PushPosition(Phase.BEFORE, (0, 0))) == [
-        PushPosition(Phase.AFTER, (0, 0))
-    ]
-    opts = NIM_EUCLID.options(PushPosition(Phase.BEFORE, (1, 1)))
+    assert canonical(PushPosition(Phase.BEFORE, (0, 0))) == (0, 0)
+    assert NIM_EUCLID.options((0, 0)) == [PushPosition(Phase.AFTER, (0, 0))]
+    with pytest.raises(ValueError):
+        NIM_EUCLID.options(PushPosition(Phase.BEFORE, (0, 0)))
+    opts = NIM_EUCLID.options((1, 1))
     assert opts[0] == PushPosition(Phase.AFTER, (1, 1))
     assert set(opts) == {
         canonical(p)
@@ -51,6 +54,38 @@ def test_option_lists():
             PushPosition(Phase.AFTER, (3, 1)),
         )
     }
+
+
+def test_before_wrapper_and_bare_root_share_one_entry():
+    # The four compounds canonicalize; the subtraction one only unwraps.
+    cases = [(compound_ruleset(name), (5, 3)) for name in COMPOUNDS]
+    cases.append((push_ruleset(subtraction((1, 2)), NIM), (7,)))
+    for ruleset, g in cases:
+        solver = Solver(ruleset)
+        bare = solver.outcome(g)
+        entries = solver.entry_count()
+        assert solver.outcome(PushPosition(Phase.BEFORE, g)) is bare, ruleset
+        assert solver.entry_count() == entries, ruleset
+        assert ruleset.canonical(g) in solver.table(Convention.NORMAL), ruleset
+
+
+def test_push_passes_the_second_leaf_through():
+    expanded = []
+
+    def nim_options(pos):
+        expanded.append(pos)
+        return NIM.options(pos)
+
+    nim_xor = Ruleset("nim-xor", nim_options, canonical=NIM.canonical, leaf=sum_grundy)
+    plain = Solver(push_ruleset(NIM, NIM))
+    fast = Solver(push_ruleset(NIM, nim_xor))
+    roots = [PushPosition(Phase.BEFORE, (a, b)) for a in range(9) for b in range(9)]
+    for pos in roots:
+        assert fast.outcome(pos) is plain.outcome(pos), pos
+        assert fast.grundy(pos) == plain.grundy(pos), pos
+    assert expanded == []  # every after-button position was a leaf
+    for pos in roots:
+        assert fast.outcome(pos, Convention.MISERE) is plain.outcome(pos, Convention.MISERE), pos
 
 
 def test_registry_and_caching():
