@@ -3,10 +3,12 @@
 Every run prints one report.  JSON reports carry {command, params, result,
 timing_ms, cache} with insertion-ordered keys and compact separators, so
 output on identical inputs is byte-identical except for the timing field.
-CSV is available for the tabular payloads (ppos, heatmap).  `solve`, `grundy`
-and `cram` search with a solver of their own, so the `cache` block, and the
-file `--cache` saves, hold this run's table and nothing from earlier calls;
-`heatmap` and `cram --bluff` use the shared solvers, which keep those too.
+CSV is available for the tabular payloads (ppos, heatmap).  Every command
+that searches runs a solver of its own, so the `cache` block, and the file
+`--cache` saves, hold this run's table and nothing from earlier calls.  A
+cache file is JSON lines: a version-and-tag header, then arrays of
+[key, value] pairs whose types are checked as they are read; any fault
+loads nothing, and no file can make the loader run code.
 
 Exit codes: 0 success, 1 domain errors (bad position, unknown ruleset),
 2 resource limits (memo cap, stream horizon), 3 verification suites that
@@ -16,12 +18,11 @@ found counterexamples, 64 usage errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import pickle
-import struct
 import sys
 import time
+from itertools import islice
+from operator import attrgetter
 
 from . import verify as verify_mod
 from .core import (
@@ -30,7 +31,6 @@ from .core import (
     Outcome,
     Ruleset,
     Solver,
-    solver_for,
 )
 from .cram import CRAM, bluff_report, empty_board
 from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, base_p_oracle, subtraction
@@ -56,8 +56,8 @@ EX_RESOURCE = 2
 EX_COUNTEREXAMPLES = 3
 EX_USAGE = 64
 
-CACHE_MAGIC = b"GLMC"
-CACHE_VERSION = 3  # 2: Cram keys are ints; 3: pre-button push keys are bare
+CACHE_VERSION = 4  # 2: Cram keys are ints; 3: pre-button push keys are bare; 4: JSON lines
+CACHE_BATCH = 1024  # [key, value] pairs per line
 
 
 class UsageError(Exception):
@@ -89,20 +89,28 @@ def _ruleset_from_string(text: str) -> Ruleset:
     raise ValueError(f"unknown ruleset {text!r}; known: {known}")
 
 
-def _game_position(args) -> tuple[Ruleset, object]:
-    """The (ruleset, position) pair selected by --ruleset/--compound/--pos."""
+def _game(args) -> tuple[Solver, object, dict]:
+    """Fresh solver, root position and report params from --ruleset/--compound/--pos."""
     heaps = _int_list(args.pos, "position")
     if any(h < 0 for h in heaps):
         raise ValueError(f"heap sizes must be non-negative, got {heaps}")
     if args.compound:
         phase = Phase.AFTER if args.phase == "after" else Phase.BEFORE
-        return compound_ruleset(args.compound), PushPosition(phase, heaps)
-    if args.phase is not None:
+        ruleset, position = compound_ruleset(args.compound), PushPosition(phase, heaps)
+    elif args.phase is not None:
         raise UsageError("--phase applies only to --compound games")
-    return _ruleset_from_string(args.ruleset), heaps
+    else:
+        ruleset, position = _ruleset_from_string(args.ruleset), heaps
+    params = {
+        "ruleset": args.ruleset,
+        "compound": args.compound,
+        "pos": list(heaps),
+        "phase": (args.phase or "before") if args.compound else None,
+    }
+    return Solver(ruleset), position, params
 
 
-# -- cache file (best-effort, version-tagged, ignored on mismatch) ----------
+# -- cache file (best-effort, version-tagged, type-checked, ignored on fault) --
 
 
 def _cache_tag(solver: Solver, key: Convention | None) -> str:
@@ -110,56 +118,65 @@ def _cache_tag(solver: Solver, key: Convention | None) -> str:
     return f"{solver.ruleset.name}|{kind}"
 
 
+def _cache_header(tag: str) -> str:
+    return json.dumps({"version": CACHE_VERSION, "tag": tag}, separators=(",", ":")) + "\n"
+
+
+_OUTCOMES = {o.value: o for o in Outcome}
+
+
+def _cache_key(raw, outer: bool = True):
+    if raw.__class__ is int:
+        return raw
+    if raw.__class__ is list:
+        if outer and len(raw) == 2 and raw[0] == "after":
+            return PushPosition(Phase.AFTER, _cache_key(raw[1], False))
+        if all(h.__class__ is int for h in raw):
+            return tuple(raw)
+    raise TypeError(f"bad cache key {raw!r}")
+
+
+def _grundy_value(raw) -> int:
+    if raw.__class__ is not int or raw < 0:
+        raise TypeError(f"bad Grundy value {raw!r}")
+    return raw
+
+
 def _cache_load(path: str, table: dict, tag: str) -> int:
-    """Merge a cache file into a live memo table; 0 on any mismatch."""
+    """Merge a cache file into a live memo table; 0 on any fault or mismatch.
+
+    Keys are ints (Push Cram), int lists (heap tuples) or ["after", either];
+    values are "P"/"N" or, in the Grundy table, non-negative ints.  Classes
+    are checked exactly, so no bool or float gets in.
+    """
+    value_of = _grundy_value if tag.endswith("|grundy") else _OUTCOMES.__getitem__
+    records = {}
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return 0
-    try:
-        if blob[:4] != CACHE_MAGIC:
-            return 0
-        off = 4
-        (version,) = struct.unpack_from(">H", blob, off)
-        off += 2
-        if version != CACHE_VERSION:
-            return 0
-        (tag_len,) = struct.unpack_from(">H", blob, off)
-        off += 2
-        if blob[off : off + tag_len].decode("utf-8") != tag:
-            return 0
-        off += tag_len
-        records = {}
-        while off < len(blob):
-            (key_len,) = struct.unpack_from(">I", blob, off)
-            off += 4
-            key = pickle.loads(blob[off : off + key_len])
-            off += key_len
-            (val_len,) = struct.unpack_from(">I", blob, off)
-            off += 4
-            records[key] = pickle.loads(blob[off : off + val_len])
-            off += val_len
-    except Exception:
-        return 0  # corrupt or foreign file: run cold rather than fail
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline() != _cache_header(tag):
+                return 0
+            for line in fh:
+                batch = json.loads(line)
+                if batch.__class__ is not list:
+                    raise TypeError("a cache line must be a list of pairs")
+                for key, value in batch:
+                    records[_cache_key(key)] = value_of(value)
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return 0  # missing, corrupt or foreign file: run cold rather than fail
     table.update(records)
     return len(records)
 
 
 def _cache_save(path: str, table: dict, tag: str) -> bool:
-    out = io.BytesIO()
-    out.write(CACHE_MAGIC)
-    out.write(struct.pack(">H", CACHE_VERSION))
-    raw_tag = tag.encode("utf-8")
-    out.write(struct.pack(">H", len(raw_tag)))
-    out.write(raw_tag)
-    for key, value in table.items():
-        for blob in (pickle.dumps(key), pickle.dumps(value)):
-            out.write(struct.pack(">I", len(blob)))
-            out.write(blob)
+    # Batches keep the encoder's token list small; tuples (PushPositions
+    # among them) become arrays and enums write their value.
+    encode = json.JSONEncoder(separators=(",", ":"), default=attrgetter("value")).encode
+    items = iter(table.items())
     try:
-        with open(path, "wb") as fh:
-            fh.write(out.getvalue())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_cache_header(tag))
+            while batch := list(islice(items, CACHE_BATCH)):
+                fh.write(encode(batch) + "\n")
     except OSError:
         return False
     return True
@@ -185,33 +202,19 @@ def _with_cache(args, solver: Solver, key: Convention | None, compute):
 
 def _cmd_solve(args):
     convention = Convention(args.convention)
-    ruleset, position = _game_position(args)
-    solver = Solver(ruleset)
+    solver, position, params = _game(args)
     result, cache = _with_cache(
         args, solver, convention, lambda: {"outcome": solver.outcome(position, convention).value}
     )
-    params = {
-        "ruleset": args.ruleset,
-        "compound": args.compound,
-        "pos": list(position.inner if args.compound else position),
-        "phase": (args.phase or "before") if args.compound else None,
-        "convention": convention.value,
-    }
+    params["convention"] = convention.value
     return params, result, cache, EX_OK
 
 
 def _cmd_grundy(args):
-    ruleset, position = _game_position(args)
-    solver = Solver(ruleset)
+    solver, position, params = _game(args)
     result, cache = _with_cache(
         args, solver, None, lambda: {"grundy": solver.grundy(position)}
     )
-    params = {
-        "ruleset": args.ruleset,
-        "compound": args.compound,
-        "pos": list(position.inner if args.compound else position),
-        "phase": (args.phase or "before") if args.compound else None,
-    }
     return params, result, cache, EX_OK
 
 
@@ -242,9 +245,9 @@ def _cmd_ppos(args):
 
 
 def _cmd_heatmap(args):
-    solver = solver_for(ZERUCLID)
+    solver = Solver(ZERUCLID)
     result, cache = _with_cache(
-        args, solver, None, lambda: {"grid": grundy_heatmap(args.max)}
+        args, solver, None, lambda: {"grid": grundy_heatmap(args.max, solver)}
     )
     params = {"max": args.max}
     return params, result, cache, EX_OK
@@ -282,22 +285,15 @@ def _cmd_period(args):
 
 
 def _cmd_cram(args):
-    if args.bluff:
+    solver = Solver(CRAM)
 
-        def bluff():
-            report = bluff_report(args.rows, args.cols)._asdict()
+    def compute():
+        if args.bluff:
+            report = bluff_report(args.rows, args.cols, solver)._asdict()
             return {"outcome": report.pop("outcome").value, "bluff": report}
+        return {"outcome": solver.outcome(empty_board(args.rows, args.cols)).value}
 
-        result, cache = _with_cache(args, solver_for(CRAM), Convention.NORMAL, bluff)
-    else:
-        solver = Solver(CRAM)
-        board = empty_board(args.rows, args.cols)
-        result, cache = _with_cache(
-            args,
-            solver,
-            Convention.NORMAL,
-            lambda: {"outcome": solver.outcome(board).value},
-        )
+    result, cache = _with_cache(args, solver, Convention.NORMAL, compute)
     params = {"rows": args.rows, "cols": args.cols, "bluff": bool(args.bluff)}
     return params, result, cache, EX_OK
 

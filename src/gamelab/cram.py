@@ -359,14 +359,15 @@ def phase1_value(rows: int, cols: int) -> int:
     return g007(rows) if cols % 2 else 0
 
 
-def bluff_report(rows: int, cols: int) -> BluffReport:
+def bluff_report(rows: int, cols: int, solver: core.Solver | None = None) -> BluffReport:
     """Move-by-move audit of the domino phase, plus the full-game outcome.
 
     A board passes when the vertical-only game is a first-player win in which
     no placement can be misplayed: a domino at height offset i rewrites one
     column's value from g007(rows) to g007(i) xor g007(rows-2-i), so each
     offset is checked for landing on zero.  On passing boards the first player
-    wins the domino phase no matter which domino either side plays.
+    wins the domino phase no matter which domino either side plays.  `solver`
+    (a `CRAM` solver; the shared one when None) searches the outcome.
     """
     root = phase1_value(rows, cols)
     losing = 0
@@ -374,7 +375,8 @@ def bluff_report(rows: int, cols: int) -> BluffReport:
         child = root ^ g007(rows) ^ g007(i) ^ g007(rows - 2 - i)
         if child != 0:
             losing += cols
-    out = cram_outcome(empty_board(rows, cols))
+    board = empty_board(rows, cols)
+    out = cram_outcome(board) if solver is None else solver.outcome(board)
     return BluffReport(
         holds=out is Outcome.N and root != 0 and losing == 0,
         outcome=out,

@@ -89,16 +89,17 @@ def zeruclid_residue_survey(a: int, b: int, strict: bool = True) -> ResidueSurve
     return survey
 
 
-def grundy_heatmap(max_coord: int) -> list[list[int]]:
+def grundy_heatmap(max_coord: int, solver: core.Solver | None = None) -> list[list[int]]:
     """grid[a][b] = Grundy value of Zeruclid (1, a, b) for a, b in [0, max_coord].
 
     Memoization on sorted triples keeps the state space to the
-    (unit-heap, zero-heap) families, so the quadratic grid reuses one table.
+    (unit-heap, zero-heap) families, so the quadratic grid reuses one table:
+    `solver`'s, a Zeruclid solver, or the shared one when None.
     """
     if not 0 <= max_coord <= HEATMAP_MAX_COORD:
         raise ValueError(
             f"max_coord must be in [0, {HEATMAP_MAX_COORD}], got {max_coord}"
         )
-    solver = core.solver_for(ZERUCLID)
+    solver = core.solver_for(ZERUCLID) if solver is None else solver
     coords = range(max_coord + 1)
     return [[solver.grundy((1, a, b)) for b in coords] for a in coords]

@@ -2,19 +2,25 @@
 
 import json
 import os
+import pickle
 import re
 import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import gamelab.cli as cli
 import gamelab.verify
+from gamelab import core
+from gamelab.core import Outcome
+from gamelab.cram import bluff_report
 from gamelab.heaps import is_euclid_p
 from gamelab.periodicity import HorizonExceeded
+from gamelab.zeruclid import grundy_heatmap
 
 
 def run_cli(capsys, *argv):
@@ -333,6 +339,17 @@ def test_cache_round_trip(capsys, tmp_path):
     assert stats["loaded"] > 0
 
 
+def _pickled_cache(tag: str, records) -> bytes:
+    """A cache file in the binary layout of format version 3: magic, version,
+    tag, then length-prefixed pickled keys and values."""
+    raw_tag = tag.encode()
+    out = [b"GLMC", struct.pack(">HH", 3, len(raw_tag)), raw_tag]
+    for key, value in records:
+        for blob in (pickle.dumps(key), pickle.dumps(value)):
+            out += [struct.pack(">I", len(blob)), blob]
+    return b"".join(out)
+
+
 def test_cram_cache_round_trip(capsys, tmp_path):
     path = tmp_path / "cram.cache"
     argv = ("cram", "--rows", "3", "--cols", "6", "--cache", str(path))
@@ -340,21 +357,141 @@ def test_cram_cache_round_trip(capsys, tmp_path):
     assert code == 0
     cold = json.loads(out)
     assert cold["cache"]["loaded"] == 0 and cold["cache"]["saved"] is True
+    saved = path.read_text()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     warm = json.loads(out)
-    assert warm["cache"]["loaded"] > 0
+    assert warm["cache"]["loaded"] == cold["cache"]["entries"] > 0
     assert warm["result"] == cold["result"] == {"outcome": "P"}
     # Files of older formats are ignored whole instead of merging keys no
     # search can reach: version 1 keyed Push Cram by GridBoards, version 2
-    # by ints carrying a phase bit.
-    for version in (1, 2):
-        blob = bytearray(path.read_bytes())
-        blob[4:6] = struct.pack(">H", version)
-        path.write_bytes(bytes(blob))
+    # by ints carrying a phase bit, version 3 was pickled records.
+    header, body = saved.split("\n", 1)
+    for version in (1, 2, 3):
+        stamped = json.dumps({**json.loads(header), "version": version}, separators=(",", ":"))
+        assert stamped != header
+        path.write_text(stamped + "\n" + body)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["cache"]["loaded"] == 0, version
+    tag = json.loads(header)["tag"]
+    records = [(json.loads(body.split("\n", 1)[0])[0][0], Outcome.P)]
+    path.write_bytes(_pickled_cache(tag, records))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["cache"]["loaded"] == 0
+    assert path.read_text() == saved
+
+
+class _MakesDirectory:
+    """Unpickling this runs os.mkdir: a stand-in for a cache file that runs code."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def test_pickled_cache_never_runs_code(capsys, tmp_path):
+    path = tmp_path / "nim.cache"
+    marker = tmp_path / "marker"
+    path.write_bytes(
+        _pickled_cache("nim|outcome:normal", [(_MakesDirectory(str(marker)), Outcome.P)])
+    )
+    code, out, _ = run_cli(
+        capsys, "solve", "--ruleset", "nim", "--pos", "3,3", "--cache", str(path)
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["cache"]["loaded"] == 0 and report["result"] == {"outcome": "P"}
+    assert not marker.exists()
+
+
+NIM_SOLVE = ("solve", "--ruleset", "nim", "--pos", "5,6")
+NIM_GRUNDY = ("grundy", "--ruleset", "nim", "--pos", "5,6")
+AFTER_SOLVE = ("solve", "--compound", "nim-euclid", "--pos", "7,12", "--phase", "after")
+
+
+@pytest.mark.parametrize(
+    "argv,bad_pair",
+    [
+        (NIM_GRUNDY, "[[1,2],true]"),
+        (NIM_SOLVE, '[[1.0,2],"N"]'),
+        (NIM_SOLVE, '["1,2","N"]'),
+        (NIM_GRUNDY, '[[1,2],"P"]'),
+        (NIM_SOLVE, "[[1,2],0]"),
+        (AFTER_SOLVE, '[["after",["after",1]],"N"]'),
+    ],
+    ids=["bool-value", "float-heap", "string-key", "outcome-in-grundy",
+         "int-in-outcome", "nested-after"],
+)
+def test_ill_typed_cache_loads_nothing(capsys, tmp_path, argv, bad_pair):
+    path = tmp_path / "bad.cache"
+    argv = (*argv, "--cache", str(path))
+    _, out, _ = run_cli(capsys, *argv)
+    cold = json.loads(out)
+    saved = path.read_text()
+    header, first, _ = saved.split("\n", 2)
+    good_pair = json.dumps(json.loads(first)[0], separators=(",", ":"))
+    path.write_text(f"{header}\n[{good_pair},{bad_pair}]\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["cache"]["loaded"] == 0 and report["cache"]["saved"] is True
+    assert report["result"] == cold["result"]
+    assert path.read_text() == saved
+
+
+def test_deeply_nested_cache_loads_nothing(capsys, tmp_path):
+    """A 100,000-deep array stops the JSON decoder at the recursion limit.
+
+    The load runs in a fresh `gamelab` process, at the interpreter's default
+    limit: this test process runs with the limit `tests/reference.py` raises
+    to 100,000, where the C decoder overruns the C stack first.
+    """
+    path = tmp_path / "deep.cache"
+    argv = (*NIM_SOLVE, "--cache", str(path))
+    _, out, _ = run_cli(capsys, *argv)
+    cold = json.loads(out)
+    saved = path.read_text()
+    header = saved.split("\n", 1)[0]
+    path.write_text(f"{header}\n{'[' * 100_000}{']' * 100_000}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamelab.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["cache"]["loaded"] == 0 and report["result"] == cold["result"]
+    assert path.read_text() == saved
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        NIM_SOLVE,
+        ("solve", "--ruleset", "subtraction:1,2", "--pos", "9"),
+        (*AFTER_SOLVE, "--convention", "misere"),
+        ("grundy", "--compound", "nim-euclid", "--pos", "5,9"),
+        ("heatmap", "--max", "6"),
+        ("cram", "--rows", "3", "--cols", "6"),
+        ("cram", "--rows", "3", "--cols", "5", "--bluff"),
+    ],
+    ids=["heap-tuple", "one-heap", "after-wrapper", "grundy-compound",
+         "heatmap", "cram-int", "cram-bluff"],
+)
+def test_every_key_shape_round_trips(capsys, tmp_path, argv):
+    path = tmp_path / "shape.cache"
+    argv = (*argv, "--cache", str(path))
+    code, cold_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, warm_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cold, warm = json.loads(cold_out), json.loads(warm_out)
+    assert cold["cache"]["loaded"] == 0
+    assert warm["cache"]["loaded"] == cold["cache"]["entries"] > 0
+    # Everything before the timing field (command, params, result) is byte-identical.
+    assert warm_out.split('"timing_ms"')[0] == cold_out.split('"timing_ms"')[0]
 
 
 def test_cram_bluff_cache_round_trip(capsys, tmp_path):
@@ -373,17 +510,28 @@ def test_cram_bluff_cache_round_trip(capsys, tmp_path):
     assert warm["result"] == cold["result"]
 
 
-def test_cram_cache_holds_only_this_run(capsys, tmp_path):
-    path = tmp_path / "cram.cache"
-    argv = ("cram", "--rows", "3", "--cols", "6", "--cache", str(path))
-    _, out, _ = run_cli(capsys, *argv)
-    alone = json.loads(out)["cache"]["entries"]
-    path.unlink()
-    run_cli(capsys, "cram", "--rows", "5", "--cols", "5")
-    _, out, _ = run_cli(capsys, *argv)
-    after_other = json.loads(out)["cache"]
-    assert after_other["loaded"] == 0
-    assert after_other["entries"] == alone > 0
+def test_cram_cache_holds_only_this_run(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "run.cache"
+    for argv in (
+        ("cram", "--rows", "3", "--cols", "6"),
+        ("cram", "--rows", "3", "--cols", "5", "--bluff"),
+        ("heatmap", "--max", "6"),
+    ):
+        argv = (*argv, "--cache", str(path))
+        # The lone run starts with empty shared solvers, as in a fresh process.
+        monkeypatch.setattr(core, "_SOLVERS", weakref.WeakKeyDictionary())
+        _, out, _ = run_cli(capsys, *argv)
+        alone = json.loads(out)["cache"]["entries"]
+        path.unlink()
+        # Searches that fill the shared solvers, in and out of the CLI.
+        run_cli(capsys, "cram", "--rows", "5", "--cols", "5")
+        bluff_report(3, 7)
+        grundy_heatmap(10)
+        _, out, _ = run_cli(capsys, *argv)
+        after_other = json.loads(out)["cache"]
+        assert after_other["loaded"] == 0, argv
+        assert after_other["entries"] == alone > 0, argv
+        path.unlink()
 
 
 def test_cache_tag_mismatch_ignored(capsys, tmp_path):

@@ -37,3 +37,15 @@ def test_readme_library_example():
         for alias in node.names
     ]
     assert sorted(gamelab.__all__) == sorted(imported)
+
+
+def test_no_assert_statements_in_src():
+    """`python -O` strips asserts, so invariants under src/ must be real checks."""
+    src = Path(gamelab.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
