@@ -58,6 +58,9 @@ EX_USAGE = 64
 
 CACHE_VERSION = 4  # 2: Cram keys are ints; 3: pre-button push keys are bare; 4: JSON lines
 CACHE_BATCH = 1024  # [key, value] pairs per line
+#: Deepest nesting a cache line holds: the line, a [key, value] pair, an
+#: ["after", inner] key and a heap tuple inside it.
+CACHE_DEPTH = 4
 
 
 class UsageError(Exception):
@@ -123,6 +126,26 @@ def _cache_header(tag: str) -> str:
 
 
 _OUTCOMES = {o.value: o for o in Outcome}
+#: bytes.translate arguments that keep only a line's brackets, braces as brackets.
+_BRACKETS_ONLY = (
+    bytes(range(256)).replace(b"{", b"[").replace(b"}", b"]"),
+    bytes(b for b in range(256) if b not in b"[]{}"),
+)
+
+
+def _nests_too_deep(line: str) -> bool:
+    """True when `line` opens arrays or objects more than CACHE_DEPTH deep.
+
+    On the line's brackets alone, each pass deletes the innermost pairs, at C
+    speed; what stays open after CACHE_DEPTH passes is deeper (or never
+    closes).  The JSON decoder recurses once per level on the C stack, so
+    under a high recursion limit a deep enough line would crash the
+    interpreter before any RecursionError.
+    """
+    brackets = line.encode().translate(*_BRACKETS_ONLY)
+    for _ in range(CACHE_DEPTH):
+        brackets = brackets.replace(b"[]", b"")
+    return b"[" in brackets
 
 
 def _cache_key(raw, outer: bool = True):
@@ -156,6 +179,8 @@ def _cache_load(path: str, table: dict, tag: str) -> int:
             if fh.readline() != _cache_header(tag):
                 return 0
             for line in fh:
+                if _nests_too_deep(line):
+                    raise ValueError("a cache line nests deeper than its format")
                 batch = json.loads(line)
                 if batch.__class__ is not list:
                     raise TypeError("a cache line must be a list of pairs")

@@ -94,14 +94,18 @@ class Ruleset:
     anything themselves.  A child may repeat in the list (two moves may land
     in one symmetry class); the search just meets it again.
 
-    `leaf`, when given, maps a canonical position to its normal-play Grundy
-    value where a closed form knows it, and to None elsewhere.  A solver
-    asks it about the root and about every option that misses the memo, and
-    uses a value it gives without expanding or storing that position (a
-    root that is a leaf is stored): Grundy searches take the value as is,
-    normal-play outcome searches read 0 as P and any other value as N.
-    Misere searches never consult `leaf` and always search.  A push compound
-    passes its second ruleset's `leaf` through for after-button positions.
+    `leaf`, when given, tells what a closed form knows of a canonical
+    position, in one of three answers: an int, its normal-play Grundy value;
+    an :class:`Outcome`, when only its normal-play outcome is known; None,
+    when nothing is.  A solver asks it about the root and about every option
+    that misses the memo, and uses an answer it can read without expanding
+    or storing that position (a root that is a leaf is stored): Grundy
+    searches take an int as is and search a position whose answer is an
+    Outcome; normal-play outcome searches take an Outcome as is and read an
+    int 0 as P and any other int as N.  Misere searches never consult `leaf`
+    and always search.  A push compound answers Outcome.N before the button
+    where pressing it wins, and passes its second ruleset's `leaf` through
+    for after-button positions.
     """
 
     __slots__ = ("name", "_options", "canonical", "leaf", "__weakref__")
@@ -111,7 +115,7 @@ class Ruleset:
         name: str,
         options: Callable[[Position], list],
         canonical: Callable[[Position], Position] | None = None,
-        leaf: Callable[[Position], int | None] | None = None,
+        leaf: Callable[[Position], int | Outcome | None] | None = None,
     ):
         self.name = name
         self._options = options
@@ -201,8 +205,9 @@ class Solver:
         convention and a node ends at its first P option.  Options of a
         canonical position are canonical already, so only the root is ever
         canonicalized.  An option that misses the memo is put to `leaf`
-        first, and a value the leaf gives is used at once: only expanded
-        positions, and a root that is itself a leaf, are memoized.
+        first, and an answer this kind of search can read is used at once:
+        only expanded positions, and a root that is itself a leaf, are
+        memoized.
         """
         rules = self.ruleset
         options = rules.options
@@ -212,9 +217,12 @@ class Solver:
         terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
         if leaf is not None:
             value = leaf(root)
+            if value.__class__ is Outcome:
+                if grundy:
+                    value = None  # an outcome is no Grundy value: search
+            elif value is not None and not grundy:
+                value = Outcome.P if value == 0 else Outcome.N
             if value is not None:
-                if not grundy:
-                    value = Outcome.P if value == 0 else Outcome.N
                 memo[root] = value
                 return value
         cap_step = 0
@@ -245,8 +253,12 @@ class Solver:
                         if found is None:
                             child = option
                             break
-                        if not grundy:
-                            found = Outcome.P if found == 0 else Outcome.N
+                        if found.__class__ is not Outcome:
+                            if not grundy:
+                                found = Outcome.P if found == 0 else Outcome.N
+                        elif grundy:
+                            child = option
+                            break
                     if found is decisive:
                         value = Outcome.N
                         break

@@ -20,7 +20,10 @@ solver canonicalizes only its root; the option generator flips the parent
 once and lists each child already canonical, as the least of the parent's
 images OR the domino's.  Options come mirror first: the placements whose
 board equals one of its own flips (the classic mirror replies, which often
-end an outcome node at once), then the rest; the button child precedes them.
+end an outcome node at once), then the rest; the button child follows them.
+Before the button, the compound's leaf reads a board whose strip-value xor is
+0 as N, since pressing the button wins there, so normal-play outcome searches
+expand only boards whose button child is an N-position.
 `canonical_board` and `post_button_value` are `GridBoard` wrappers over the
 same kernel; `legal_moves` lists the raw children of a board in the same
 order.
@@ -261,7 +264,7 @@ def canonical_board(board: GridBoard) -> GridBoard:
 
 def legal_moves(board: GridBoard) -> list[GridBoard]:
     """Children of a board as placed, not canonicalized, in the search's
-    order: before the push the button child, then the vertical placements;
+    order: before the push the vertical placements, then the button child;
     after it the horizontal placements; mirror replies first in each."""
     occ = board.occupied
     shape = _SHAPES[board.rows << 8 | board.cols]
@@ -275,7 +278,7 @@ def legal_moves(board: GridBoard) -> list[GridBoard]:
     dominoes = shape.horizontal if after else shape.vertical
     free = sorted((e for e in dominoes if not occ & e[0]), key=not_mirror)
     moves = [replace(board, occupied=occ | e[0]) for e in free]
-    return moves if after else [replace(board, phase=Phase.AFTER), *moves]
+    return moves if after else [*moves, replace(board, phase=Phase.AFTER)]
 
 
 def post_button_value(board: GridBoard) -> int:

@@ -3,7 +3,9 @@
 Before the button is pushed, moves come from the first ruleset and pushing
 the button is always available as an extra move (it changes nothing but the
 phase); after the push, moves come from the second ruleset, whose `leaf`
-scores after-button positions.  Push Cram (:mod:`gamelab.cram`) is one.
+scores after-button positions and, through the button, settles the
+before-button positions that pressing it wins.  Push Cram
+(:mod:`gamelab.cram`) is one.
 
 The four compounds built from Nim, Wythoff's game and the Euclid variant all
 have closed-form P-position tests, implemented here in exact integer
@@ -58,7 +60,14 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     position g (r1's positions are never PushPositions); the button wraps it
     as PushPosition(Phase.AFTER, g) and r2 moves inside that wrapper.  A root
     PushPosition(Phase.BEFORE, g) is read as g.  Children are canonical only
-    when r1 and r2 share one `canonical`; otherwise that just unwraps roots."""
+    when r1 and r2 share one `canonical`; otherwise that just unwraps roots.
+
+    Options before the button list r1's moves, then the button child.  When
+    r2 has a `leaf`, the compound's leaf is r2's after the button, and before
+    it answers Outcome.N for a g whose button child r2's leaf scores 0.  A
+    normal-play outcome search settles such a g without expanding it, so the
+    button child of a node it does expand never wins where r2's leaf scores
+    it."""
     options1, options2 = r1.options, r2.options
     shared = r1.canonical if r1.canonical is r2.canonical else None
     after = Phase.AFTER
@@ -66,10 +75,9 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
 
     def options(p):
         if p.__class__ is not PushPosition:
-            # Button child first: the bare second game is the cheapest N-witness.
-            opts = [new(PushPosition, (after, p))]
-            opts += options1(p)
-            return opts
+            # Button child last: where r2's leaf scores it, `leaf` below has
+            # already settled every position the button wins.
+            return [*options1(p), new(PushPosition, (after, p))]
         phase, g = p
         if phase is not after:
             raise ValueError(f"{p!r} is not a canonical compound position")
@@ -85,9 +93,14 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
         return shared(p) if shared else p
 
     leaf2 = r2.leaf
+    win = Outcome.N
 
     def leaf(p):
-        return leaf2(p[1]) if p.__class__ is PushPosition else None
+        if p.__class__ is PushPosition:
+            return leaf2(p[1])
+        # Before the button: pressing it moves to a P-position when r2's
+        # value there is 0, so p is N; anything else needs a search.
+        return win if leaf2(p) == 0 else None
 
     return Ruleset(f"push({r1.name},{r2.name})", options, canonical, leaf if leaf2 else None)
 

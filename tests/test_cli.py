@@ -444,26 +444,30 @@ def test_ill_typed_cache_loads_nothing(capsys, tmp_path, argv, bad_pair):
 
 
 def test_deeply_nested_cache_loads_nothing(capsys, tmp_path):
-    """A 100,000-deep array stops the JSON decoder at the recursion limit.
+    """A 100,000-deep array is refused before the JSON decoder sees it.
 
-    The load runs in a fresh `gamelab` process, at the interpreter's default
-    limit: this test process runs with the limit `tests/reference.py` raises
-    to 100,000, where the C decoder overruns the C stack first.
+    Each load runs in a fresh process: one at the interpreter's default
+    recursion limit, one at the 100,000 that `tests/reference.py` sets, where
+    the C decoder would overrun the C stack before any RecursionError.
     """
     path = tmp_path / "deep.cache"
-    argv = (*NIM_SOLVE, "--cache", str(path))
+    argv = [*NIM_SOLVE, "--cache", str(path)]
     _, out, _ = run_cli(capsys, *argv)
     cold = json.loads(out)
     saved = path.read_text()
     header = saved.split("\n", 1)[0]
-    path.write_text(f"{header}\n{'[' * 100_000}{']' * 100_000}\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gamelab.cli", *argv], capture_output=True, text=True
+    raised_limit = (
+        "import sys; from gamelab.cli import main; "
+        f"sys.setrecursionlimit(100_000); sys.exit(main({argv!r}))"
     )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["cache"]["loaded"] == 0 and report["result"] == cold["result"]
-    assert path.read_text() == saved
+    for launch in (["-m", "gamelab.cli", *argv], ["-c", raised_limit]):
+        for deep in ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "}" * 100_000):
+            path.write_text(f"{header}\n{deep}\n")
+            proc = subprocess.run([sys.executable, *launch], capture_output=True, text=True)
+            assert proc.returncode == 0, (launch[0], proc.returncode, proc.stderr)
+            report = json.loads(proc.stdout)
+            assert report["cache"]["loaded"] == 0 and report["result"] == cold["result"]
+            assert path.read_text() == saved
 
 
 @pytest.mark.parametrize(

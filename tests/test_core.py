@@ -118,6 +118,42 @@ def test_leaf_hook_matches_search():
     assert lying.outcome((1,)) is Outcome.P  # normal play does consult the leaf
 
 
+def test_outcome_leaf_serves_outcome_searches_only():
+    # A leaf that knows N-positions only: Grundy searches search them,
+    # misere searches never ask, normal-play outcome searches skip them.
+    asked = []
+
+    def n_leaf(pos):
+        asked.append(pos)
+        return Outcome.N if sum_grundy(pos) else None
+
+    def counted():
+        expanded = []
+
+        def options(pos):
+            expanded.append(pos)
+            return NIM.options(pos)
+
+        return options, expanded
+
+    plain_options, plain_expanded = counted()
+    leaf_options, leaf_expanded = counted()
+    plain = Solver(Ruleset("nim-counted", plain_options, canonical=NIM.canonical))
+    fast = Solver(Ruleset("nim-n-leaf", leaf_options, canonical=NIM.canonical, leaf=n_leaf))
+    positions = list(itertools.product(range(5), repeat=3))
+    for pos in positions:
+        assert fast.outcome(pos) is plain.outcome(pos), pos
+    assert 0 < len(leaf_expanded) < len(plain_expanded)
+    assert fast.table(Convention.NORMAL)[(1, 2, 4)] is Outcome.N  # a leaf root is stored
+    for pos in positions:
+        assert fast.grundy(pos) == plain.grundy(pos), pos
+    assert all(value.__class__ is int for value in fast.table(None).values())
+    asked.clear()
+    for pos in positions:
+        assert fast.outcome(pos, Convention.MISERE) is plain.outcome(pos, Convention.MISERE), pos
+    assert asked == []
+
+
 def _assert_children_canonical(ruleset, positions):
     canon = ruleset.canonical
     for pos in positions:

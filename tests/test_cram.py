@@ -26,6 +26,7 @@ from gamelab.cram import (
     legal_moves,
     phase1_value,
     post_button_value,
+    _strip_xor,
 )
 
 from gamelab.push import push_ruleset
@@ -156,36 +157,36 @@ def test_outcome_invariant_under_flips():
 # -- moves ---------------------------------------------------------------------
 
 
-def test_legal_moves_button_first():
+def test_legal_moves_button_last():
     moves = legal_moves(empty_board(1, 3))
     assert [b.to_record() for b in moves] == ["1 3 after 0x0"]
     moves = legal_moves(empty_board(2, 1))
-    assert [b.to_record() for b in moves] == ["2 1 after 0x0", "2 1 before 0x3"]
+    assert [b.to_record() for b in moves] == ["2 1 before 0x3", "2 1 after 0x0"]
     assert legal_moves(GridBoard(2, 2, 0b1111, Phase.AFTER)) == []
 
 
 def test_legal_moves_mirror_first():
-    # Button child, then the vertical placements that equal one of their own
-    # flips (on 3x3, the middle column), then the rest.
+    # The vertical placements that equal one of their own flips (on 3x3, the
+    # middle column), then the rest, then the button child.
     for board in (empty_board(3, 3), empty_board(4, 3), GridBoard(4, 3, 0b010_000_000_010)):
         moves = legal_moves(board)
-        assert moves[0] == GridBoard(board.rows, board.cols, board.occupied, Phase.AFTER)
-        mirrored = [b.occupied in _flip_images(b) for b in moves[1:]]
+        assert moves[-1] == GridBoard(board.rows, board.cols, board.occupied, Phase.AFTER)
+        mirrored = [b.occupied in _flip_images(b) for b in moves[:-1]]
         assert mirrored == sorted(mirrored, reverse=True), board
         assert True in mirrored and False in mirrored, board
     moves = legal_moves(empty_board(3, 3))
     assert [b.occupied for b in moves] == [
-        0, 0b010_010, 0b010_010_000, 0b1_001, 0b100_100, 0b1_001_000, 0b100_100_000
+        0b010_010, 0b010_010_000, 0b1_001, 0b100_100, 0b1_001_000, 0b100_100_000, 0
     ]
 
 
 def test_legal_moves_by_phase():
     board = empty_board(2, 2)
     before = legal_moves(board)
-    assert before[0].phase is Phase.AFTER and before[0].occupied == 0
-    placements = {b.occupied for b in before[1:]}
+    assert before[-1].phase is Phase.AFTER and before[-1].occupied == 0
+    placements = {b.occupied for b in before[:-1]}
     assert placements == {0b0101, 0b1010}  # the two vertical dominoes
-    assert all(b.phase is Phase.BEFORE for b in before[1:])
+    assert all(b.phase is Phase.BEFORE for b in before[:-1])
     after = legal_moves(GridBoard(2, 2, 0, Phase.AFTER))
     assert {b.occupied for b in after} == {0b0011, 0b1100}
     assert all(b.phase is Phase.AFTER for b in after)
@@ -276,6 +277,27 @@ def test_mirror_first_ordering_keeps_search_small():
     solver = Solver(CRAM)
     assert solver.outcome(empty_board(9, 4)) is cram_closed_form(9, 4) is P
     assert solver.entry_count() < 50_000
+
+
+def test_outcome_search_stores_no_button_winnable_board():
+    # CRAM's leaf settles a pre-button board of strip-value xor 0 as N (the
+    # button wins there), so only a root can enter the table with xor 0.
+    boards = [empty_board(3, 5), empty_board(5, 4), empty_board(3, 6), GridBoard(4, 4, 0x861)]
+    rng = random.Random(11)
+    for rows, cols in [(3, 5), (4, 5), (5, 5)]:
+        for _ in range(4):
+            occ = rng.getrandbits(rows * cols) & rng.getrandbits(rows * cols)
+            boards.append(GridBoard(rows, cols, occ))
+    boards.append(GridBoard(5, 5, 0x200024))
+    for board in boards:
+        solver = Solver(CRAM)
+        solver.outcome(board)
+        root = CRAM.canonical(board)
+        table = solver.table(Convention.NORMAL)
+        assert root in table, board
+        stored = [key for key in table if key != root]
+        assert all(_strip_xor(key) != 0 for key in stored), board
+    assert len(stored) > 1000  # the last board is a deep search, not a leaf
 
 
 def test_outcomes_match_naive_reference():

@@ -35,7 +35,7 @@ def test_option_lists():
     with pytest.raises(ValueError):
         NIM_EUCLID.options(PushPosition(Phase.BEFORE, (0, 0)))
     opts = NIM_EUCLID.options((1, 1))
-    assert opts[0] == PushPosition(Phase.AFTER, (1, 1))
+    assert opts[-1] == PushPosition(Phase.AFTER, (1, 1))
     assert set(opts) == {
         canonical(p)
         for p in (
