@@ -289,10 +289,13 @@ def post_button_value(board: GridBoard) -> int:
 
 # -- rulesets -----------------------------------------------------------------
 
-#: Vertical dominoes: the game before the button.
+#: Vertical dominoes: the game before the button.  Int keys and before-phase
+#: boards only, as for `HORIZONTAL`; `CRAM` and `CRAM_SEARCH` take either phase.
 VERTICAL = Ruleset("vertical-dominoes", _placements("vertical"), canonical=_canonical)
 
-#: Horizontal dominoes, scored in closed form by the strip-value xor.
+#: Horizontal dominoes, scored in closed form by the strip-value xor.  Int
+#: keys and before-phase boards only: a board's after-button value is
+#: ``Solver(HORIZONTAL).grundy`` of its before-phase twin.
 HORIZONTAL = Ruleset(
     "horizontal-dominoes", _placements("horizontal"), canonical=_canonical, leaf=_strip_xor
 )

@@ -118,12 +118,18 @@ def zeruclid_options(position: tuple) -> list[tuple]:
     return opts
 
 
-def subtraction(values: Iterable[int]) -> Ruleset:
-    """Single-heap subtraction game: remove v tokens for any v in `values`."""
+def subtraction_set(values: Iterable[int]) -> tuple[int, ...]:
+    """The distinct moves of a subtraction set in ascending order, checked
+    non-empty and positive."""
     vals = tuple(sorted(set(values)))
     if not vals or vals[0] < 1:
         raise ValueError(f"subtraction set must be non-empty and positive, got {vals}")
-    return _subtraction_cached(vals)
+    return vals
+
+
+def subtraction(values: Iterable[int]) -> Ruleset:
+    """Single-heap subtraction game: remove v tokens for any v in `values`."""
+    return _subtraction_cached(subtraction_set(values))
 
 
 @lru_cache(maxsize=None)

@@ -18,12 +18,12 @@ the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import count, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from . import core
 from .core import Convention, Outcome, Ruleset
-from .heaps import subtraction
+from .heaps import subtraction, subtraction_set
 from .push import push_ruleset
 
 
@@ -53,14 +53,18 @@ class PeriodCertificate:
         return {"preperiod": self.preperiod, "period": self.period}
 
 
-def _validated_moves(s: Iterable[int]) -> tuple[int, ...]:
-    moves = tuple(sorted(set(s)))
-    if not moves or moves[0] < 1:
-        raise ValueError(f"subtraction set must be non-empty and positive, got {moves}")
-    return moves
-
-
 # -- streams ----------------------------------------------------------------
+
+
+def ruleset_stream(r: Ruleset, convention: Convention | None) -> Iterator:
+    """Values of a single-heap ruleset at heaps 0, 1, 2, ..., read off its
+    shared solver: outcomes under `convention`, or Grundy values when it is
+    None."""
+    solver = core.solver_for(r)
+    heaps = zip(count())
+    if convention is None:
+        return map(solver.grundy, heaps)
+    return map(solver.outcome, heaps, repeat(convention))
 
 
 def outcome_stream(
@@ -74,9 +78,7 @@ def outcome_stream(
     conventions share that recursion because the button keeps every
     pre-button position non-terminal.
     """
-    solver = core.solver_for(push_ruleset(subtraction(s1), r2))
-    for n in count():
-        yield solver.outcome((n,), convention)
+    return ruleset_stream(push_ruleset(subtraction(s1), r2), convention)
 
 
 def outcome_sequence(
@@ -85,31 +87,18 @@ def outcome_sequence(
     length: int,
     convention: Convention = Convention.NORMAL,
 ) -> list[Outcome]:
-    stream = outcome_stream(s1, r2, convention)
-    return [next(stream) for _ in range(length)]
+    return list(islice(outcome_stream(s1, r2, convention), length))
 
 
 def grundy_stream(s1: Iterable[int], r2: Ruleset) -> Iterator[int]:
     """Grundy values of the compound at heaps 0, 1, 2, ...: the mex of the
     subtraction options' values together with r2's value at the same heap,
     read off the same solver as :func:`outcome_stream`."""
-    solver = core.solver_for(push_ruleset(subtraction(s1), r2))
-    for n in count():
-        yield solver.grundy((n,))
+    return ruleset_stream(push_ruleset(subtraction(s1), r2), None)
 
 
 def grundy_sequence(s1: Iterable[int], r2: Ruleset, length: int) -> list[int]:
-    stream = grundy_stream(s1, r2)
-    return [next(stream) for _ in range(length)]
-
-
-def ruleset_outcome_stream(
-    r: Ruleset, convention: Convention = Convention.NORMAL
-) -> Iterator[Outcome]:
-    """Outcomes of a plain single-heap ruleset at heaps 0, 1, 2, ..."""
-    solver = core.solver_for(r)
-    for n in count():
-        yield solver.outcome((n,), convention)
+    return list(islice(grundy_stream(s1, r2), length))
 
 
 # -- certificates -------------------------------------------------------------
@@ -243,60 +232,51 @@ def interval_compound_certificate(
     """Certified outcome periodicity of the {1..k1} then {1..k2} compound."""
     if k1 < 1 or k2 < 1:
         raise ValueError(f"need k1, k2 >= 1, got ({k1}, {k2})")
-    stream = outcome_stream(range(1, k1 + 1), subtraction(range(1, k2 + 1)), convention)
-    return certified_period(
-        stream, window=k1, modulus=k2 + 1, state_bound=(k2 + 1) * 2**k1
-    )
+    return _certify_compound(range(1, k1 + 1), range(1, k2 + 1), convention)[1]
 
 
 def compound_certificates(
     s1: Iterable[int], s2: Iterable[int], convention: Convention = Convention.NORMAL
 ) -> dict:
-    """Outcome and Grundy certificates for Subtraction(s1) then Subtraction(s2).
-
-    The second game's own outcome stream is certified first (window max(s2),
-    no modulus); its period becomes the modulus of the compound scan and its
-    preperiod shifts the scan start, which keeps the state recursion sound
-    when the second game is not purely periodic.
-    """
-    moves1 = _validated_moves(s1)
-    moves2 = _validated_moves(s2)
-    r2 = subtraction(moves2)
-    m2 = moves2[-1]
-    r2_cert = certified_period(
-        ruleset_outcome_stream(r2, convention),
-        window=m2,
-        modulus=1,
-        state_bound=2**m2,
-    )
-    window = moves1[-1]
-    k = r2_cert.period
-    out_cert = certified_period(
-        outcome_stream(moves1, r2, convention),
-        window=window,
-        modulus=k,
-        state_bound=k * 2**window,
-        start=r2_cert.preperiod,
-    )
+    """Outcome certificates ("r2", "outcome") for Subtraction(s1) then
+    Subtraction(s2), and under normal play Grundy ones ("r2_values",
+    "values") too; see :func:`_certify_compound`."""
+    moves1, moves2 = subtraction_set(s1), subtraction_set(s2)
+    r2_cert, out_cert = _certify_compound(moves1, moves2, convention)
     result = {"r2": r2_cert, "outcome": out_cert}
     if convention is Convention.NORMAL:
-        r2_vals = certified_period(
-            _ruleset_grundy_stream(r2), window=m2, modulus=1,
-            state_bound=(m2 + 1) ** m2 + 1,
-        )
-        kv = r2_vals.period
-        result["r2_values"] = r2_vals
-        result["values"] = certified_period(
-            grundy_stream(moves1, r2),
-            window=window,
-            modulus=kv,
-            state_bound=kv * (len(moves1) + 2) ** window,
-            start=r2_vals.preperiod,
-        )
+        result["r2_values"], result["values"] = _certify_compound(moves1, moves2, None)
     return result
 
 
-def _ruleset_grundy_stream(r: Ruleset) -> Iterator[int]:
-    solver = core.solver_for(r)
-    for n in count():
-        yield solver.grundy((n,))
+def _certify_compound(
+    moves1: Sequence[int], moves2: Sequence[int], convention: Convention | None
+) -> tuple[PeriodCertificate, PeriodCertificate]:
+    """Certificates of r2 = Subtraction(moves2) and of Subtraction(moves1) then
+    r2, for outcomes under `convention` or, when it is None, Grundy values.
+    Both move sets are ascending, distinct and positive.
+
+    r2's own stream is certified first (window max(moves2), no modulus); its
+    period becomes the modulus of the compound scan and its preperiod shifts
+    the scan start, which keeps the state recursion sound when r2 is not
+    purely periodic.  A heap of either game has at most window + 1 options
+    (its moves, and the button), so a Grundy value is one of window + 2.
+    """
+    r2 = subtraction(moves2)
+
+    def states(window: int) -> int:
+        return (2 if convention is not None else window + 2) ** window
+
+    w2, w1 = moves2[-1], moves1[-1]
+    r2_cert = certified_period(
+        ruleset_stream(r2, convention), window=w2, modulus=1, state_bound=states(w2)
+    )
+    k = r2_cert.period
+    cert = certified_period(
+        ruleset_stream(push_ruleset(subtraction(moves1), r2), convention),
+        window=w1,
+        modulus=k,
+        state_bound=k * states(w1),
+        start=r2_cert.preperiod,
+    )
+    return r2_cert, cert

@@ -9,9 +9,13 @@ before-button positions that pressing it wins.  Push Cram
 
 The four compounds built from Nim, Wythoff's game and the Euclid variant all
 have closed-form P-position tests, implemented here in exact integer
-arithmetic.  The Nim-then-Euclid compound additionally gets its two
-alternative descriptions: a mex/ceil recurrence producing the pair table, and
-a classification of single values by the shape of their Zeckendorf word.
+arithmetic.  The Nim-then-Euclid compound has three descriptions, each on its
+own :mod:`gamelab.arith` primitive, so their cross-checks compare independent
+code: the pair test `is_nim_euclid_p` (Beatty pairs by `is_wythoff_pair`,
+toggled where `consecutive_fib_index` finds consecutive Fibonacci numbers),
+the recurrence `nim_euclid_pairs` (mex of the used values, partnered by
+`ceil_phi`) and the classification `nim_euclid_fib_classify` (the shape of a
+value's Zeckendorf word).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import NamedTuple
 
 from .arith import (
     ceil_phi,
+    consecutive_fib_index,
     floor_phi,
     is_wythoff_pair,
     zeckendorf,
@@ -129,50 +134,12 @@ def compound_ruleset(name: str) -> Ruleset:
 # set; the odd-index pairs are not and join it).
 
 
-def _is_alternating(word: str) -> bool:
-    """'' or '10' repeated: the Zeckendorf shape of fib(2m+2) - 1."""
-    return len(word) % 2 == 0 and all(
-        c == ("1" if i % 2 == 0 else "0") for i, c in enumerate(word)
-    )
-
-
-def _is_alternating_then_one(word: str) -> bool:
-    """'10' repeated then '1': the Zeckendorf shape of fib(2m+3) - 1."""
-    return len(word) % 2 == 1 and all(
-        c == ("1" if i % 2 == 0 else "0") for i, c in enumerate(word)
-    )
-
-
-def _fib_minus_one_index(x: int) -> int | None:
-    """k with x == fib(k+1) - 1, read off the Zeckendorf shape, else None.
-
-    Both alternating shapes have k = len(word) + 1.  x = 0 is doubly a member
-    (fib(1) - 1 and fib(2) - 1); this returns 1 and the pair test below owns
-    the k = 0 reading.
-    """
-    word = zeckendorf(x)
-    if _is_alternating(word) or _is_alternating_then_one(word):
-        return len(word) + 1
-    return None
-
-
-def _is_consecutive_fib_minus_one_pair(x: int, y: int) -> bool:
-    """True iff (x, y) == (fib(k+1) - 1, fib(k+2) - 1) for some k >= 0, x <= y."""
-    ix = _fib_minus_one_index(x)
-    iy = _fib_minus_one_index(y)
-    if ix is None or iy is None:
-        return False
-    if ix + 1 == iy:
-        return True
-    return x == 0 and iy == 1  # (0, 0), reading the first zero at index 0
-
-
 def is_nim_euclid_p(x: int, y: int) -> bool:
-    """Nim then Euclid: P iff Beatty-pair membership, toggled on the
-    consecutive fib-minus-one pairs."""
+    """Nim then Euclid: P iff Beatty-pair membership, toggled where
+    (x + 1, y + 1) are consecutive Fibonacci numbers."""
     if x > y:
         x, y = y, x
-    return is_wythoff_pair(x, y) != _is_consecutive_fib_minus_one_pair(x, y)
+    return is_wythoff_pair(x, y) != (consecutive_fib_index(x + 1, y + 1) is not None)
 
 
 def _nim_euclid_recurrence():
@@ -219,10 +186,11 @@ def nim_euclid_fib_classify(x: int) -> FibClassification:
     partner drops its last digit.
     """
     word = zeckendorf(x)
-    if _is_alternating(word):
+    alternating = "10" * (len(word) // 2)
+    if word == alternating:
         return FibClassification(True, zeckendorf_decode(word + "1"))
     trailing = len(word) - len(word.rstrip("0"))
-    if trailing % 2 == 0 and not _is_alternating_then_one(word):
+    if trailing % 2 == 0 and word != alternating + "1":
         return FibClassification(True, zeckendorf_decode(word + "0"))
     return FibClassification(False, zeckendorf_decode(word[:-1]))
 

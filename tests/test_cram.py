@@ -248,6 +248,21 @@ def test_cram_is_the_push_compound():
     assert CRAM.leaf is not None and CRAM_SEARCH.leaf is None
 
 
+def test_component_rulesets_take_before_phase_boards():
+    # VERTICAL and HORIZONTAL read int keys and before-phase boards; a board's
+    # after-button game is HORIZONTAL's game on its before-phase twin.
+    horizontal, vertical = Solver(HORIZONTAL), Solver(VERTICAL)
+    for rows, cols in [(1, 5), (2, 3), (3, 3), (2, 4)]:
+        for occ in range(1 << (rows * cols)):
+            twin = GridBoard(rows, cols, occ, Phase.AFTER)
+            got = horizontal.grundy(GridBoard(rows, cols, occ))
+            assert got == post_button_value(twin), (rows, cols, occ)
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            got = vertical.grundy(empty_board(rows, cols))
+            assert got == phase1_value(rows, cols), (rows, cols)
+
+
 def test_outcome_examples():
     assert cram_outcome(empty_board(2, 5)) is N
     assert cram_outcome(empty_board(3, 4)) is P

@@ -1,12 +1,15 @@
-"""The top-level package: the README's Library example and the names it exports."""
+"""The top-level package: the README's Library example, the names it exports,
+and the names the benchmark's tracer rebinds."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
 import gamelab
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _library_example() -> str:
@@ -49,3 +52,16 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    """The benchmark's `--trace` mode rebinds names in the package's modules;
+    installing it fails with AttributeError once one of them is gone."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_cli(tracer)
+    finally:
+        tracer.restore()

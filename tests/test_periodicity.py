@@ -18,7 +18,7 @@ from gamelab.periodicity import (
     outcome_sequence,
     outcome_stream,
     predicted_period,
-    ruleset_outcome_stream,
+    ruleset_stream,
 )
 
 from reference import (
@@ -159,8 +159,8 @@ def test_plain_interval_subtraction_outcomes():
     # is P on multiples of k+1 under normal play, and 1 mod k+1 under misere.
     for k in range(1, 11):
         r = subtraction(range(1, k + 1))
-        normal = ruleset_outcome_stream(r)
-        misere = ruleset_outcome_stream(r, Convention.MISERE)
+        normal = ruleset_stream(r, Convention.NORMAL)
+        misere = ruleset_stream(r, Convention.MISERE)
         for n in range(4 * (k + 1)):
             assert next(normal) is (P if n % (k + 1) == 0 else N)
             assert next(misere) is (P if n % (k + 1) == 1 else N)
@@ -172,6 +172,7 @@ def test_compound_certificates_structure():
     assert set(certs) == {"r2", "r2_values", "outcome", "values"}
     assert certs["outcome"].period == 4
     assert certs["values"].period % certs["outcome"].period == 0
+    assert compound_certificates(iter(s1), iter(s2)) == certs
     misere = compound_certificates(s1, s2, Convention.MISERE)
     assert set(misere) == {"r2", "outcome"}
     # Certified outcome periods describe the actual stream.

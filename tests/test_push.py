@@ -2,6 +2,7 @@
 
 import pytest
 
+from gamelab.arith import fib
 from gamelab.core import Convention, Outcome, Ruleset, Solver, sum_grundy, sum_rulesets
 from gamelab.heaps import EUCLID, NIM, WYTHOFF, subtraction
 from gamelab.push import (
@@ -139,6 +140,18 @@ def test_nim_euclid_three_descriptions_agree():
     }
     recurrence_set = set(pairs) | {(b, a) for a, b in pairs}
     assert predicate_set == recurrence_set
+
+
+def test_nim_euclid_toggled_pairs_to_large_index():
+    # The toggled pairs (fib(k+1) - 1, fib(k+2) - 1) are P exactly for odd k,
+    # and the pair test agrees with the Zeckendorf classification on both
+    # members far past the 10^4 of criterion 2.
+    for k in range(86):
+        x, y = fib(k + 1) - 1, fib(k + 2) - 1
+        p = is_nim_euclid_p(x, y)
+        assert p is (k % 2 == 1), k
+        assert p is (nim_euclid_fib_classify(x) == (True, y)), k
+        assert p is (nim_euclid_fib_classify(y) == (False, x)), k
 
 
 def test_nim_euclid_pair_tables():
