@@ -12,38 +12,45 @@ The package revolves around three layers:
   exposed through the `gamelab` command line (`cli`).
 """
 
-from .core import Convention, Outcome, Solver
-from .cram import cram_outcome, empty_board, g007
-from .heaps import EUCLID, NIM, WYTHOFF, ZERUCLID, subtraction
-from .periodicity import interval_compound_certificate
-from .push import (
-    Phase,
-    PushPosition,
-    compound_ruleset,
-    is_nim_euclid_p,
-    nim_euclid_pairs,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-# The names the README's Library section imports; everything else is
-# imported from its submodule.
-__all__ = [
-    "Convention",
-    "EUCLID",
-    "NIM",
-    "Outcome",
-    "Phase",
-    "PushPosition",
-    "Solver",
-    "WYTHOFF",
-    "ZERUCLID",
-    "compound_ruleset",
-    "cram_outcome",
-    "empty_board",
-    "g007",
-    "interval_compound_certificate",
-    "is_nim_euclid_p",
-    "nim_euclid_pairs",
-    "subtraction",
-]
+# The names the README's Library section imports, each mapped to the
+# submodule that defines it; everything else is imported from its submodule.
+# A name is looked up on first use, so `import gamelab` loads no submodule.
+_SOURCES = {
+    "Convention": "core",
+    "EUCLID": "heaps",
+    "NIM": "heaps",
+    "Outcome": "core",
+    "Phase": "push",
+    "PushPosition": "push",
+    "Solver": "core",
+    "WYTHOFF": "heaps",
+    "ZERUCLID": "heaps",
+    "compound_ruleset": "push",
+    "cram_outcome": "cram",
+    "empty_board": "cram",
+    "g007": "cram",
+    "interval_compound_certificate": "periodicity",
+    "is_nim_euclid_p": "push",
+    "nim_euclid_pairs": "push",
+    "subtraction": "heaps",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -53,6 +53,10 @@ class MemoLimitExceeded(Exception):
     """A solver's memo tables would outgrow their configured entry cap."""
 
 
+class HorizonExceeded(Exception):
+    """The computed horizon ended before a period could be certified."""
+
+
 def memo_cap_from_env() -> int:
     """Entry cap for new solvers: GAMELAB_MEMO_CAP or the default."""
     raw = os.environ.get(MEMO_CAP_ENV)

@@ -34,7 +34,6 @@ preserve domino orientation, transposition does not and is never applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -56,7 +55,7 @@ _STRIP_MAX_TAKE = 2  # a domino removes two adjacent cells from a strip
 def _strip_table() -> tuple[tuple[int, ...], PeriodCertificate]:
     values = [0, 0]
     for n in range(2, _STRIP_HORIZON):
-        values.append(mex(values[i] ^ values[n - 2 - i] for i in range(n - 1)))
+        values.append(mex(values[i] ^ values[n - 2 - i] for i in range(n // 2)))
     cert = certified_split_period(values, _STRIP_MAX_TAKE)
     return tuple(values), cert
 
@@ -91,24 +90,28 @@ def g007_certificate() -> PeriodCertificate:
 # -- boards -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GridBoard:
+class _BoardFields(NamedTuple):
     rows: int
     cols: int
     occupied: int = 0
     phase: Phase = Phase.BEFORE
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"board must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.rows * self.cols > MAX_CELLS:
-            raise ValueError(
-                f"board {self.rows}x{self.cols} exceeds {MAX_CELLS} cells"
-            )
-        if not 0 <= self.occupied < (1 << (self.rows * self.cols)):
-            raise ValueError(f"occupancy out of range for {self.rows}x{self.cols}")
-        if not isinstance(self.phase, Phase):
-            raise ValueError(f"bad phase {self.phase!r}")
+
+class GridBoard(_BoardFields):
+    """An immutable rows x cols board: occupancy bits row-major, and the phase."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, occupied: int = 0, phase: Phase = Phase.BEFORE):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"board must be at least 1x1, got {rows}x{cols}")
+        if rows * cols > MAX_CELLS:
+            raise ValueError(f"board {rows}x{cols} exceeds {MAX_CELLS} cells")
+        if not 0 <= occupied < (1 << (rows * cols)):
+            raise ValueError(f"occupancy out of range for {rows}x{cols}")
+        if not isinstance(phase, Phase):
+            raise ValueError(f"bad phase {phase!r}")
+        return super().__new__(cls, rows, cols, occupied, phase)
 
     def bit(self, r: int, c: int) -> int:
         return 1 << (r * self.cols + c)
@@ -259,7 +262,8 @@ def _key(board: GridBoard) -> int:
 
 def canonical_board(board: GridBoard) -> GridBoard:
     """Least occupancy over the flip group {identity, h, v, hv}."""
-    return replace(board, occupied=_canonical(_key(board)) & _OCC_MASK)
+    occupied = _canonical(_key(board)) & _OCC_MASK
+    return GridBoard(board.rows, board.cols, occupied, board.phase)
 
 
 def legal_moves(board: GridBoard) -> list[GridBoard]:
@@ -277,8 +281,9 @@ def legal_moves(board: GridBoard) -> list[GridBoard]:
     after = board.phase is Phase.AFTER
     dominoes = shape.horizontal if after else shape.vertical
     free = sorted((e for e in dominoes if not occ & e[0]), key=not_mirror)
-    moves = [replace(board, occupied=occ | e[0]) for e in free]
-    return moves if after else [*moves, replace(board, phase=Phase.AFTER)]
+    rows, cols, _, phase = board
+    moves = [GridBoard(rows, cols, occ | e[0], phase) for e in free]
+    return moves if after else [*moves, GridBoard(rows, cols, occ, Phase.AFTER)]
 
 
 def post_button_value(board: GridBoard) -> int:

@@ -17,22 +17,16 @@ the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
-from .core import Convention, Outcome, Ruleset
+from .core import Convention, HorizonExceeded, Outcome, Ruleset
 from .heaps import subtraction, subtraction_set
 from .push import push_ruleset
 
 
-class HorizonExceeded(Exception):
-    """The computed horizon ended before a period could be certified."""
-
-
-@dataclass(frozen=True)
-class PeriodCertificate:
+class PeriodCertificate(NamedTuple):
     """Minimal eventual period of a stream, plus the object that proves it.
 
     `state` and `state_indices` carry the repeated lookback state for

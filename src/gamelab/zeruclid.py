@@ -11,7 +11,6 @@ The helpers here scan those claims with the exhaustive solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import core
@@ -42,8 +41,7 @@ def zeruclid_bound_check(a: int, b: int, c_max: int) -> BoundCheck:
     return BoundCheck(hits, violations)
 
 
-@dataclass(frozen=True)
-class ResidueSurvey:
+class ResidueSurvey(NamedTuple):
     a: int
     b: int
     scanned_to: int

@@ -15,8 +15,8 @@ import pytest
 
 import gamelab.cli as cli
 import gamelab.verify
-from gamelab import core
-from gamelab.core import Outcome
+from gamelab import core, periodicity
+from gamelab.core import Convention, Outcome
 from gamelab.cram import bluff_report
 from gamelab.heaps import is_euclid_p
 from gamelab.periodicity import HorizonExceeded
@@ -93,6 +93,19 @@ def test_period_interval_fragment(capsys):
     assert code == 0
     assert '"predicted":4,"certified":{"preperiod":0,"period":4}' in out
     assert json.loads(out)["cache"] is None
+
+
+def test_period_interval_form_follows_convention(capsys):
+    for convention in Convention:
+        for k1 in range(1, 7):
+            for k2 in range(1, 7):
+                argv = ["period", "--k1", str(k1), "--k2", str(k2)]
+                code, out, _ = run_cli(capsys, *argv, "--convention", convention.value)
+                report = json.loads(out)
+                cert = periodicity.interval_compound_certificate(k1, k2, convention)
+                assert code == 0
+                assert report["result"]["certified"] == cert.to_dict(), (k1, k2, convention)
+                assert report["params"]["convention"] == convention.value
 
 
 def test_period_set_form_key_order(capsys):
@@ -259,7 +272,7 @@ def test_horizon_exceeded_exit_two(capsys, monkeypatch):
     def blow_up(k1, k2, convention=None):
         raise HorizonExceeded("stream too short")
 
-    monkeypatch.setattr(cli, "interval_compound_certificate", blow_up)
+    monkeypatch.setattr(periodicity, "interval_compound_certificate", blow_up)
     code, _, err = run_cli(capsys, "period", "--k1", "2", "--k2", "3")
     assert code == 2 and "resource limit" in err
 
@@ -315,6 +328,47 @@ def test_installed_script_on_path():
     proc = subprocess.run(["gamelab", *SCRIPT_ARGS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert '"result":{"outcome":"P"}' in proc.stdout
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+CLOSURE_SCRIPT = """\
+import json, sys
+from gamelab import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "gamelab")
+print(json.dumps([code, loaded, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+BASE_CLOSURE = ("gamelab", "gamelab.cli", "gamelab.core", "gamelab.arith", "gamelab.heaps", "gamelab.push")
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["ppos", "--compound", "nim-euclid", "--max", "20"], ()),
+        (["solve", "--compound", "wythoff-nim", "--pos", "3,5"], ()),
+        (["grundy", "--ruleset", "euclid", "--pos", "3,5"], ()),
+        (["period", "--k1", "2", "--k2", "3"], ("periodicity",)),
+        (["heatmap", "--max", "4"], ("zeruclid",)),
+        (["cram", "--rows", "3", "--cols", "3", "--bluff"], ("periodicity", "cram")),
+        (["verify", "push-lemma"], ("periodicity", "zeruclid", "cram", "verify")),
+    ],
+)
+def test_command_imports_only_what_it_runs(argv, extra):
+    """A fresh process loads the modules its command runs and no others;
+    `verify` loads every module of the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSURE_SCRIPT, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, heavy = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted([*BASE_CLOSURE, *(f"gamelab.{m}" for m in extra)])
+    assert heavy == []
+    if argv[0] == "verify":
+        package = {f"gamelab.{p.stem}" for p in (SRC / "gamelab").glob("*.py")}
+        assert set(loaded) == package - {"gamelab.__init__"} | {"gamelab"}
 
 
 # -- cache files ------------------------------------------------------------------

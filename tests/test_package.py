@@ -3,8 +3,13 @@ and the names the benchmark's tracer rebinds."""
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gamelab
 
@@ -40,6 +45,34 @@ def test_readme_library_example():
         for alias in node.names
     ]
     assert sorted(gamelab.__all__) == sorted(imported)
+
+
+def test_import_loads_no_submodule():
+    """`import gamelab` is cheap: the exported names load on first use."""
+    script = "import sys, gamelab; print(sorted(m for m in sys.modules if m.startswith('gamelab.')))"
+    env = dict(os.environ)
+    src = str(Path(gamelab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_exported_names_are_the_submodules_own():
+    listed = dir(gamelab)
+    star: dict = {}
+    exec("from gamelab import *", star)
+    for name in gamelab.__all__:
+        module = importlib.import_module(f"gamelab.{gamelab._SOURCES[name]}")
+        assert getattr(gamelab, name) is getattr(module, name), name
+        assert star[name] is getattr(module, name), name
+        assert name in listed, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gamelab.no_such_name
+    assert not hasattr(gamelab, "Ruleset")  # exported by `core`, not by the package
 
 
 def test_no_assert_statements_in_src():
