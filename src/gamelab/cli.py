@@ -365,14 +365,12 @@ _HANDLERS = {
 def _render_csv(command: str, result: dict) -> str:
     if command == "ppos":
         lines = ["a,b"] + [f"{a},{b}" for a, b in result["pairs"]]
-    elif command == "heatmap":
+    else:  # heatmap; `main` rejects csv for every other command
         grid = result["grid"]
         width = len(grid[0]) if grid else 0
         lines = ["a\\b," + ",".join(str(b) for b in range(width))]
         for a, row in enumerate(grid):
             lines.append(f"{a}," + ",".join(str(v) for v in row))
-    else:
-        raise UsageError("--format csv is only available for ppos and heatmap")
     return "\n".join(lines) + "\n"
 
 
@@ -463,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.command not in ("ppos", "heatmap"):
+            raise UsageError("--format csv is only available for ppos and heatmap")
         start = time.perf_counter()
         params, result, cache, code = _HANDLERS[args.command](args)
         ms = (time.perf_counter() - start) * 1000.0

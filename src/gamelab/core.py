@@ -310,15 +310,7 @@ def solver_for(ruleset: Ruleset) -> Solver:
     return solver
 
 
-def outcome(ruleset: Ruleset, position: Position, convention: Convention = Convention.NORMAL) -> Outcome:
-    return solver_for(ruleset).outcome(position, convention)
-
-
-def grundy(ruleset: Ruleset, position: Position) -> int:
-    return solver_for(ruleset).grundy(position)
-
-
-def sum_rulesets(r1: Ruleset, r2: Ruleset, name: str | None = None) -> Ruleset:
+def sum_rulesets(r1: Ruleset, r2: Ruleset) -> Ruleset:
     """Disjunctive sum: positions are pairs, a move changes exactly one side."""
 
     def options(position):
@@ -335,4 +327,4 @@ def sum_rulesets(r1: Ruleset, r2: Ruleset, name: str | None = None) -> Ruleset:
             a, b = position
             return (c1(a) if c1 else a, c2(b) if c2 else b)
 
-    return Ruleset(name or f"{r1.name}+{r2.name}", options, canonical)
+    return Ruleset(f"{r1.name}+{r2.name}", options, canonical)

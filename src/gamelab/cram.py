@@ -24,9 +24,9 @@ end an outcome node at once), then the rest; the button child follows them.
 Before the button, the compound's leaf reads a board whose strip-value xor is
 0 as N, since pressing the button wins there, so normal-play outcome searches
 expand only boards whose button child is an N-position.
-`canonical_board` and `post_button_value` are `GridBoard` wrappers over the
-same kernel; `legal_moves` lists the raw children of a board in the same
-order.
+`canonical_board` and `legal_moves` decode that kernel back to `GridBoard`s:
+the canonical form, and the search's own option list (canonical children in
+the order above); `post_button_value` reads a board's strip-value xor.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -260,30 +260,26 @@ def _key(board: GridBoard) -> int:
     return (board.rows << 8 | board.cols) << _SHAPE_SHIFT | board.occupied
 
 
+def _board(position) -> GridBoard:
+    """The GridBoard of a CRAM position, the inverse of `_canonical`'s GridBoard
+    branch: an int key is a before-phase board, PushPosition(AFTER, key) an
+    after-phase one."""
+    phase = Phase.BEFORE
+    if position.__class__ is PushPosition:
+        phase, position = position
+    shape = position >> _SHAPE_SHIFT
+    return GridBoard(shape >> 8, shape & 0xFF, position & _OCC_MASK, phase)
+
+
 def canonical_board(board: GridBoard) -> GridBoard:
     """Least occupancy over the flip group {identity, h, v, hv}."""
-    occupied = _canonical(_key(board)) & _OCC_MASK
-    return GridBoard(board.rows, board.cols, occupied, board.phase)
+    return _board(CRAM.canonical(board))
 
 
 def legal_moves(board: GridBoard) -> list[GridBoard]:
-    """Children of a board as placed, not canonicalized, in the search's
-    order: before the push the vertical placements, then the button child;
-    after it the horizontal placements; mirror replies first in each."""
-    occ = board.occupied
-    shape = _SHAPES[board.rows << 8 | board.cols]
-    h, v, hv = shape.images(occ)
-
-    def not_mirror(entry) -> bool:
-        domino, dh, dv, dhv = entry
-        return occ | domino not in (h | dh, v | dv, hv | dhv)
-
-    after = board.phase is Phase.AFTER
-    dominoes = shape.horizontal if after else shape.vertical
-    free = sorted((e for e in dominoes if not occ & e[0]), key=not_mirror)
-    rows, cols, _, phase = board
-    moves = [GridBoard(rows, cols, occ | e[0], phase) for e in free]
-    return moves if after else [*moves, GridBoard(rows, cols, occ, Phase.AFTER)]
+    """The search's own children of a board: canonical, mirror replies first,
+    the button child last, one entry per placement."""
+    return [_board(p) for p in CRAM.options(CRAM.canonical(board))]
 
 
 def post_button_value(board: GridBoard) -> int:
@@ -316,7 +312,7 @@ CRAM_SEARCH = push_ruleset(
 
 def cram_outcome(board: GridBoard) -> Outcome:
     """Outcome of a board position under the fast solver."""
-    return core.outcome(CRAM, board)
+    return core.solver_for(CRAM).outcome(board)
 
 
 def empty_board(rows: int, cols: int) -> GridBoard:
@@ -396,9 +392,3 @@ def bluff_report(rows: int, cols: int, solver: core.Solver | None = None) -> Blu
         losing_phase1_moves=losing,
     )
 
-
-def bluff_check(rows: int, cols: int) -> bool:
-    """True when the board is a first-player win and its vertical-only game
-    is an N-position in which every vertical placement is a winning move.
-    """
-    return bluff_report(rows, cols).holds

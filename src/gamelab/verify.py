@@ -220,7 +220,7 @@ def suite_zeruclid_residues(limit: int = 15) -> dict:
     for a in range(1, limit + 1):
         for b in range(a, limit + 1):
             checks += 1
-            survey = zeruclid_residue_survey(a, b, strict=False)
+            survey = zeruclid_residue_survey(a, b)
             if not survey.complete:
                 bad.append(
                     {

@@ -22,7 +22,7 @@ HEATMAP_MAX_COORD = 400
 
 
 def _is_p(a: int, b: int, c: int) -> bool:
-    return core.outcome(ZERUCLID, (a, b, c)) is Outcome.P
+    return core.solver_for(ZERUCLID).outcome((a, b, c)) is Outcome.P
 
 
 class BoundCheck(NamedTuple):
@@ -65,26 +65,20 @@ class ResidueSurvey(NamedTuple):
         )
 
 
-def zeruclid_residue_survey(a: int, b: int, strict: bool = True) -> ResidueSurvey:
+def zeruclid_residue_survey(a: int, b: int) -> ResidueSurvey:
     """All c making (a, b, c) a P-position, tagged with c mod a.
 
     The scan range [0, ceil_phi(m) + m] with m = max(a, b) is exhaustive: a
     sorted P-triple keeps its largest coordinate inside the band bound, and
     any unsorted candidate c is below b and hence inside the range anyway.
-    With `strict`, raises if the hits do not cover each residue class exactly
-    once.
+    `complete` says whether the hits cover each residue class exactly once.
     """
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
     m = max(a, b)
     top = ceil_phi(m) + m
     hits = tuple((c, c % a) for c in range(top + 1) if _is_p(a, b, c))
-    survey = ResidueSurvey(a, b, top, hits)
-    if strict and not survey.complete:
-        raise ValueError(
-            f"residue structure violated at ({a}, {b}): hits {survey.hits}"
-        )
-    return survey
+    return ResidueSurvey(a, b, top, hits)
 
 
 def grundy_heatmap(max_coord: int, solver: core.Solver | None = None) -> list[list[int]]:

@@ -195,11 +195,22 @@ def test_global_flags_leading_or_trailing(capsys):
     assert trailing.splitlines()[0] == "a,b"
 
 
-def test_csv_unavailable_for_scalar_commands(capsys):
+def test_csv_unavailable_for_scalar_commands(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "solve", "--ruleset", "nim", "--pos", "3,3", "--format", "csv"
     )
     assert code == 64 and "usage error" in err
+    # The usage error comes before any search: an existing cache file stays as it was.
+    cache = str(tmp_path / "memo.jsonl")
+    assert run_cli(capsys, "solve", "--ruleset", "nim", "--pos", "3,3", "--cache", cache)[0] == 0
+    before = Path(cache).read_bytes()
+    for argv in (
+        ["solve", "--ruleset", "nim", "--pos", "4,5"],
+        ["cram", "--rows", "2", "--cols", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv", "--cache", cache)
+        assert (code, out) == (64, "") and "usage error" in err, argv
+        assert Path(cache).read_bytes() == before, argv
 
 
 # -- ppos oracles -----------------------------------------------------------------

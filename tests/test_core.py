@@ -12,10 +12,8 @@ from gamelab.core import (
     Outcome,
     Ruleset,
     Solver,
-    grundy,
     memo_cap_from_env,
     mex,
-    outcome,
     solver_for,
     sum_grundy,
     sum_rulesets,
@@ -41,24 +39,25 @@ def test_sum_grundy():
 
 
 def test_nim_outcomes():
-    assert outcome(NIM, (3, 3)) is Outcome.P
-    assert outcome(NIM, (3, 4)) is Outcome.N
-    assert outcome(NIM, ()) is Outcome.P
-    assert outcome(NIM, (1, 1), Convention.MISERE) is Outcome.N
-    assert outcome(NIM, (1,), Convention.MISERE) is Outcome.P
+    nim = solver_for(NIM)
+    assert nim.outcome((3, 3)) is Outcome.P
+    assert nim.outcome((3, 4)) is Outcome.N
+    assert nim.outcome(()) is Outcome.P
+    assert nim.outcome((1, 1), Convention.MISERE) is Outcome.N
+    assert nim.outcome((1,), Convention.MISERE) is Outcome.P
 
 
 def test_nim_grundy_values():
-    assert grundy(NIM, (0, 3)) == 3
-    assert grundy(NIM, (2, 3)) == 1
-    assert grundy(NIM, ()) == 0
-    assert grundy(ZERUCLID, (1, 0, 0)) == 1
+    assert solver_for(NIM).grundy((0, 3)) == 3
+    assert solver_for(NIM).grundy((2, 3)) == 1
+    assert solver_for(NIM).grundy(()) == 0
+    assert solver_for(ZERUCLID).grundy((1, 0, 0)) == 1
 
 
 def test_conventions_on_terminal():
-    empty = Ruleset(name="empty", options=lambda pos: [])
-    assert outcome(empty, 0) is Outcome.P
-    assert outcome(empty, 0, Convention.MISERE) is Outcome.N
+    empty = Solver(Ruleset(name="empty", options=lambda pos: []))
+    assert empty.outcome(0) is Outcome.P
+    assert empty.outcome(0, Convention.MISERE) is Outcome.N
 
 
 def test_outcome_iff_grundy_zero():
