@@ -90,13 +90,15 @@ class Ruleset:
 
     `options` maps a position to every position reachable in one move, as a
     list in a deterministic order (a read-only property: the callable itself,
-    so a call costs no extra frame).  `canonical`, when given, maps a position
-    to a fixed representative of its symmetry class (e.g. the sorted heap
-    tuple for heap-symmetric games), and `options` of a canonical position
-    must list canonical children: solvers canonicalize only the root they
-    are handed, memoize on canonical representatives and never reorder
-    anything themselves.  A child may repeat in the list (two moves may land
-    in one symmetry class); the search just meets it again.
+    so a call costs no extra frame).  An outcome search stops at the first P
+    child and descends into the first option that the memo and `leaf` leave
+    open, so the order lists the likeliest P children first.  `canonical`,
+    when given, maps a position to a fixed representative of its symmetry
+    class (e.g. the sorted heap tuple for heap-symmetric games), and `options`
+    of a canonical position must list canonical children: solvers canonicalize
+    only the root they are handed, memoize on canonical representatives and
+    never reorder anything themselves.  A child may repeat in the list (two
+    moves may land in one symmetry class); the search just meets it again.
 
     `leaf`, when given, tells what a closed form knows of a canonical
     position, in one of three answers: an int, its normal-play Grundy value;

@@ -217,7 +217,10 @@ def _placements(orientation: str):
     flips of each other give one child twice."""
 
     def options(key: int) -> list[int]:
-        shape = _SHAPES[key >> _SHAPE_SHIFT]
+        try:
+            shape = _SHAPES[key >> _SHAPE_SHIFT]
+        except TypeError:
+            raise _not_a_key(f"{orientation}-dominoes", key) from None
         occ = key & _OCC_MASK
         base = key ^ occ
         h, v, hv = shape.images(occ)
@@ -248,7 +251,10 @@ def _canonical(position):
 
 def _strip_xor(key: int) -> int:
     """Grundy value of a key under horizontal play: xor of the rows' values."""
-    shape = _SHAPES[key >> _SHAPE_SHIFT]
+    try:
+        shape = _SHAPES[key >> _SHAPE_SHIFT]
+    except TypeError:
+        raise _not_a_key(HORIZONTAL.name, key) from None
     strip, mask = shape.strip, shape.row_mask
     total = 0
     for at, _ in shape.row_shifts:
@@ -258,6 +264,12 @@ def _strip_xor(key: int) -> int:
 
 def _key(board: GridBoard) -> int:
     return (board.rows << 8 | board.cols) << _SHAPE_SHIFT | board.occupied
+
+
+def _not_a_key(name: str, position) -> ValueError:
+    """The error for an after-phase board, which is a CRAM position."""
+    board = _board(position) if position.__class__ is PushPosition else position
+    return ValueError(f"{name} plays before-phase boards only, got {board!r}; use CRAM")
 
 
 def _board(position) -> GridBoard:

@@ -4,7 +4,9 @@ Positions are tuples of non-negative heap sizes.  Every option function
 returns a duplicate-free list in a deterministic order.  Nim, Wythoff, Euclid
 and Zeruclid are symmetric under permuting heaps: their solvers memoize on
 the sorted tuple, and their option functions list sorted children of any
-input.
+input, likeliest P children first (see `core.Ruleset`): the largest heap
+first in Nim and Zeruclid, the diagonal moves first in Wythoff, the smallest
+remainder first in Euclid.
 """
 
 from __future__ import annotations
@@ -34,44 +36,48 @@ def _sorted_tuple(position: tuple) -> tuple:
 
 
 # The option functions of the heap-symmetric rulesets sort their input once
-# and list sorted children without duplicates: each distinct heap value is
-# lowered once (equal heaps give equal children), and the lowered value is
-# inserted at an index that only moves one way as the new value runs.
+# and list sorted children without duplicates, likeliest P children first:
+# Nim and Zeruclid lower the largest heap first, by the smallest take first;
+# Wythoff lists its diagonal moves first, Euclid the smallest remainder first.
+
+
+def _lowerings(s: tuple, step: int) -> list[tuple]:
+    """Children of the sorted heaps `s` that lower one heap by a positive
+    multiple of `step`, the largest heap first and the smallest take first.
+    The new value goes in at an index that only falls as the take grows."""
+    out = []
+    prev = None
+    for j in range(len(s) - 1, -1, -1):
+        h = s[j]
+        if h == prev:
+            continue  # equal heaps give equal children: lower the last copy only
+        prev = h
+        i = j
+        head, tail = s[:j], s[j + 1 :]
+        floor = s[j - 1] if j else -1  # the new value stays at i while >= floor
+        for new in range(h - step, -1, -step):
+            if new < floor:
+                while i and s[i - 1] > new:
+                    i -= 1
+                head, tail = s[:i], s[i:j] + s[j + 1 :]
+                floor = s[i - 1] if i else -1
+            out.append(head + (new,) + tail)
+    return out
 
 
 def nim_options(position: tuple) -> list[tuple]:
     """Take any positive number of tokens from one heap."""
-    s = _sorted_tuple(_check_heaps(position))
-    opts = []
-    prev = None
-    for j, h in enumerate(s):
-        if h == prev:
-            continue
-        prev = h
-        rest = s[j + 1 :]
-        # Inserting the new value at i keeps the tuple sorted; i rises with it.
-        i = 0
-        head, tail = (), s[:j] + rest
-        for new in range(h):
-            if s[i] < new:
-                while s[i] < new:
-                    i += 1
-                head, tail = s[:i], s[i:j] + rest
-            opts.append(head + (new,) + tail)
-    return opts
+    return _lowerings(_sorted_tuple(_check_heaps(position)), 1)
 
 
 def wythoff_options(position: tuple) -> list[tuple]:
     """Nim moves on two heaps, plus taking the same positive amount from both."""
     a, b = _sorted_tuple(_check_heaps(position, arity=2))
-    opts = [(x, b) for x in range(a)]
-    if a < b:
-        opts += [(y, a) for y in range(a)]
-        opts += [(a, y) for y in range(a, b)]
-    # Taking b - a from both lands on (2a - b, a), a lowering of b above.
-    twin = b - a if 0 < b - a <= a else 0
-    opts += [(a - k, b - k) for k in range(1, a + 1) if k != twin]
-    return opts
+    opts = [(a - k, b - k) for k in range(1, a + 1)]
+    if a < b:  # the Nim move to (2a - b, a) is the diagonal move that takes b - a
+        opts += [(a, y) for y in range(b - 1, a - 1, -1)]
+        opts += [(y, a) for y in range(a - 1, -1, -1) if y != 2 * a - b]
+    return opts + [(x, b) for x in range(a - 1, -1, -1)]
 
 
 def euclid_options(position: tuple) -> list[tuple]:
@@ -85,11 +91,9 @@ def euclid_options(position: tuple) -> list[tuple]:
         return [] if b == 0 else [(0, 0)]
     if a == b:
         return []
-    # b - k*a falls by a per step and crosses below a exactly once.
-    cut = (b - a) // a
-    return [(a, b - k * a) for k in range(1, cut + 1)] + [
-        (b - k * a, a) for k in range(cut + 1, (b - 1) // a + 1)
-    ]
+    # The least remainder r is at most a; every other one exceeds a.
+    r = (b - 1) % a + 1
+    return [(r, a)] + [(a, y) for y in range(r + a, b, a)]
 
 
 def zeruclid_options(position: tuple) -> list[tuple]:
@@ -97,25 +101,7 @@ def zeruclid_options(position: tuple) -> list[tuple]:
     keeping every heap non-negative.  All heaps empty is terminal."""
     s = _sorted_tuple(_check_heaps(position))
     m = next((h for h in s if h), 0)
-    if not m:
-        return []
-    opts = []
-    prev = 0  # empty heaps have nothing to lower
-    for j, h in enumerate(s):
-        if h == prev:
-            continue
-        prev = h
-        rest = s[j + 1 :]
-        # The new value h - k*m falls as k rises, so its index i only falls.
-        i = j
-        head, tail = s[:j], rest
-        for new in range(h - m, -1, -m):
-            if i and s[i - 1] > new:
-                while i and s[i - 1] > new:
-                    i -= 1
-                head, tail = s[:i], s[i:j] + rest
-            opts.append(head + (new,) + tail)
-    return opts
+    return _lowerings(s, m) if m else []
 
 
 def subtraction_set(values: Iterable[int]) -> tuple[int, ...]:

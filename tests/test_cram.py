@@ -261,6 +261,27 @@ def test_component_rulesets_take_before_phase_boards():
             assert got == phase1_value(rows, cols), (rows, cols)
 
 
+def test_component_rulesets_reject_after_phase_boards():
+    def searches(board):
+        return [
+            lambda solver: solver.grundy(board),
+            lambda solver: solver.outcome(board),
+            lambda solver: solver.outcome(board, Convention.MISERE),
+        ]
+
+    after = GridBoard(2, 3, 0, Phase.AFTER)
+    for ruleset in (HORIZONTAL, VERTICAL):
+        for search in searches(after):
+            with pytest.raises(ValueError, match=f"^{ruleset.name} .*phase=<Phase.AFTER"):
+                search(Solver(ruleset))
+    # The compounds take both phases: grundy, normal and misere outcome.
+    want = {Phase.BEFORE: [2, N, N], Phase.AFTER: [post_button_value(after), P, N]}
+    for ruleset in (CRAM, CRAM_SEARCH):
+        for phase, answers in want.items():
+            board = GridBoard(2, 3, 0, phase)
+            assert [search(Solver(ruleset)) for search in searches(board)] == answers
+
+
 def test_outcome_examples():
     assert cram_outcome(empty_board(2, 5)) is N
     assert cram_outcome(empty_board(3, 4)) is P
