@@ -5,10 +5,11 @@ timing_ms, cache} with insertion-ordered keys and compact separators, so
 output on identical inputs is byte-identical except for the timing field.
 CSV is available for the tabular payloads (ppos, heatmap).  Every command
 that searches runs a solver of its own, so the `cache` block, and the file
-`--cache` saves, hold this run's table and nothing from earlier calls.  A
-cache file is JSON lines: a version-and-tag header, then arrays of
-[key, value] pairs whose types are checked as they are read; any fault
-loads nothing, and no file can make the loader run code.
+`--cache` saves, hold this run's table and nothing from earlier calls; the
+other commands refuse `--cache`.  A cache file is JSON lines: a
+version-and-tag header, then arrays of [key, value] pairs whose types are
+checked as they are read; any fault loads nothing, and no file can make the
+loader run code.
 
 Exit codes: 0 success, 1 domain errors (bad position, unknown ruleset),
 2 resource limits (memo cap, stream horizon), 3 verification suites that
@@ -463,6 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.format == "csv" and args.command not in ("ppos", "heatmap"):
             raise UsageError("--format csv is only available for ppos and heatmap")
+        if args.cache is not None and args.command not in ("solve", "grundy", "heatmap", "cram"):
+            raise UsageError("--cache is only available for solve, grundy, heatmap and cram")
         start = time.perf_counter()
         params, result, cache, code = _HANDLERS[args.command](args)
         ms = (time.perf_counter() - start) * 1000.0

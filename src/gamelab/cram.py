@@ -245,6 +245,8 @@ def _canonical(position):
     if position.__class__ is GridBoard:
         key = _canonical(_key(position))
         return PushPosition(Phase.AFTER, key) if position.phase is Phase.AFTER else key
+    if position.__class__ is PushPosition:
+        raise ValueError(f"domino rulesets take keys and GridBoards, got {position!r}; use CRAM")
     occ = position & _OCC_MASK
     return position ^ occ | min(occ, *_SHAPES[position >> _SHAPE_SHIFT].images(occ))
 

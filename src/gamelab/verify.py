@@ -2,7 +2,10 @@
 
 Each suite returns {"suite", "checks", "counterexamples"}; an empty
 counterexample list means the sweep found full agreement at its stated
-ranges.  Suites are sized so the whole battery stays desk-scale.
+ranges.  Where a search is checked against a closed form, each mismatch is
+recorded as {**context, "position", "search", "closed_form"}, holding the
+two values as computed.  Suites are sized so the whole battery stays
+desk-scale.
 """
 
 from __future__ import annotations
@@ -42,39 +45,51 @@ from .push import (
 from .zeruclid import zeruclid_bound_check, zeruclid_residue_survey
 
 
-def _report(suite: str, checks: int, counterexamples: list) -> dict:
-    return {"suite": suite, "checks": checks, "counterexamples": counterexamples}
+class _Tally:
+    """The checks one suite runs and the counterexamples they find."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks = 0
+        self.counterexamples: list = []
+
+    def check(self, ok: bool, counterexample) -> None:
+        """Count one check; if it failed, record what `counterexample()` builds."""
+        self.checks += 1
+        if not ok:
+            self.counterexamples.append(counterexample())
+
+    def agree(self, positions, search, closed_form, **context) -> None:
+        """One check per position: `search` and `closed_form` give equal values."""
+        for position in positions:
+            got, want = search(position), closed_form(position)
+            self.check(
+                got == want,
+                lambda: {**context, "position": position, "search": got, "closed_form": want},
+            )
+
+    def report(self) -> dict:
+        return {"suite": self.suite, "checks": self.checks, "counterexamples": self.counterexamples}
+
+
+def _pairs(low: int, high: int):
+    """(a, b) with low <= a <= b <= high, a-major."""
+    return itertools.combinations_with_replacement(range(low, high + 1), 2)
 
 
 def suite_push_lemma(nim_max: int = 15, sub_max: int = 30) -> dict:
     """push(R, R) has the value of R plus one extra token, for two test rulesets."""
-    checks = 0
-    bad: list = []
-
-    rr = Solver(push_ruleset(NIM, NIM))
-    plus_star = Solver(sum_rulesets(NIM, NIM))
-    for a in range(nim_max + 1):
-        for b in range(a, nim_max + 1):
-            checks += 1
-            lhs = rr.grundy((a, b))
-            rhs = plus_star.grundy(((a, b), (1,)))
-            if lhs != rhs:
-                bad.append(
-                    {"ruleset": "nim", "position": [a, b], "push": lhs, "sum": rhs}
-                )
-
-    s12 = subtraction((1, 2))
-    rr = Solver(push_ruleset(s12, s12))
-    plus_star = Solver(sum_rulesets(s12, NIM))
-    for n in range(sub_max + 1):
-        checks += 1
-        lhs = rr.grundy((n,))
-        rhs = plus_star.grundy(((n,), (1,)))
-        if lhs != rhs:
-            bad.append(
-                {"ruleset": "subtraction-1-2", "position": [n], "push": lhs, "sum": rhs}
-            )
-    return _report("push-lemma", checks, bad)
+    tally = _Tally("push-lemma")
+    for name, ruleset, positions in (
+        ("nim", NIM, _pairs(0, nim_max)),
+        ("subtraction-1-2", subtraction((1, 2)), ((n,) for n in range(sub_max + 1))),
+    ):
+        push = Solver(push_ruleset(ruleset, ruleset))
+        plus_star = Solver(sum_rulesets(ruleset, NIM))
+        tally.agree(
+            positions, push.grundy, lambda p: plus_star.grundy((p, (1,))), ruleset=name
+        )
+    return tally.report()
 
 
 def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> dict:
@@ -84,43 +99,24 @@ def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> 
     inner position is an N-position of the second ruleset and every first-
     ruleset option is an N-position of the compound.
     """
-    checks = 0
-    bad: list = []
+    tally = _Tally("push-characterization")
     for name, (r1, r2) in COMPOUNDS.items():
-        solver = Solver(compound_ruleset(name))
-        for x in range(limit + 1):
-            for y in range(limit + 1):
-                checks += 1
-                got = solver.outcome((x, y))
-                want = push_p_oracle(name, (x, y))
-                if got is not want:
-                    bad.append(
-                        {
-                            "compound": name,
-                            "position": [x, y],
-                            "search": got.name,
-                            "closed_form": want.name,
-                        }
-                    )
-        inner_solver = Solver(r2)
-        for x in range(structural_limit + 1):
-            for y in range(structural_limit + 1):
-                checks += 1
-                is_p = solver.outcome((x, y)) is Outcome.P
-                push_back_loses = inner_solver.outcome((x, y)) is Outcome.N
-                all_moves_lose = all(
-                    solver.outcome(opt) is Outcome.N
-                    for opt in r1.options((x, y))
-                )
-                if is_p != (push_back_loses and all_moves_lose):
-                    bad.append(
-                        {
-                            "compound": name,
-                            "position": [x, y],
-                            "structural_mismatch": True,
-                        }
-                    )
-    return _report("push-characterization", checks, bad)
+        solver, inner = Solver(compound_ruleset(name)), Solver(r2)
+        tally.agree(
+            itertools.product(range(limit + 1), repeat=2),
+            solver.outcome,
+            lambda p: push_p_oracle(name, p),
+            compound=name,
+        )
+        tally.agree(
+            itertools.product(range(structural_limit + 1), repeat=2),
+            lambda p: solver.outcome(p) is Outcome.P,
+            lambda p: inner.outcome(p) is Outcome.N
+            and all(solver.outcome(q) is Outcome.N for q in r1.options(p)),
+            compound=name,
+            test="structural",
+        )
+    return tally.report()
 
 
 def suite_nim_euclid_triple(
@@ -131,8 +127,7 @@ def suite_nim_euclid_triple(
     the mex/ceil-phi recurrence, the Fibonacci-word classification, and the
     pair predicate; the predicate is then re-checked against raw search.
     """
-    checks = 0
-    bad: list = []
+    tally = _Tally("nim-euclid-triple")
 
     # Recurrence pairs out to 2*pair_limit put every integer <= pair_limit on
     # one side of some pair (the slow side crosses pair_limit well before the
@@ -144,45 +139,33 @@ def suite_nim_euclid_triple(
             role[a] = (True, b)
         if b <= pair_limit:
             role[b] = (False, a)
-        checks += 1
-        if not is_nim_euclid_p(a, b):
-            bad.append({"pair": [a, b], "predicate": "rejects recurrence pair"})
-    checks += 1
-    if len(role) != pair_limit + 1:
-        missing = sorted(set(range(pair_limit + 1)) - set(role))[:10]
-        bad.append({"recurrence_gaps": missing})
+        tally.check(is_nim_euclid_p(a, b), lambda: {"pair": [a, b], "predicate": False})
+    tally.check(
+        len(role) == pair_limit + 1,
+        lambda: {"recurrence_gaps": sorted(set(range(pair_limit + 1)) - set(role))[:10]},
+    )
     for x in range(pair_limit + 1):
-        checks += 1
         c = nim_euclid_fib_classify(x)
-        if (c.is_lower, c.partner) != role.get(x):
-            bad.append(
-                {
-                    "x": x,
-                    "classified": [c.is_lower, c.partner],
-                    "recurrence": list(role[x]) if x in role else None,
-                }
-            )
+        tally.check(
+            c == role.get(x), lambda: {"x": x, "classified": list(c), "recurrence": role.get(x)}
+        )
 
-    in_box = {(a, b) for a, b in pairs if a <= box and b <= box}
-    scanned = set()
+    upper = dict(pairs)
     for a in range(box + 1):
+        partner = upper.get(a)
+        # Built once per row (one per pair made the scan about 20 % slower);
+        # it reads the failing b when `check` calls it.
+        wrong = lambda: {"pair": [a, b], "predicate": b != partner, "box": box}
         for b in range(a, box + 1):
-            checks += 1
-            if is_nim_euclid_p(a, b):
-                scanned.add((a, b))
-    if scanned != in_box:
-        diff = sorted(scanned ^ in_box)[:10]
-        bad.append({"box": box, "set_mismatch": [list(p) for p in diff]})
+            tally.check(is_nim_euclid_p(a, b) == (b == partner), wrong)
 
     solver = Solver(compound_ruleset("nim-euclid"))
-    for x in range(brute + 1):
-        for y in range(x, brute + 1):
-            checks += 1
-            got = solver.outcome((x, y))
-            want = Outcome.P if is_nim_euclid_p(x, y) else Outcome.N
-            if got is not want:
-                bad.append({"position": [x, y], "search": got.name, "closed_form": want.name})
-    return _report("nim-euclid-triple", checks, bad)
+    tally.agree(
+        _pairs(0, brute),
+        solver.outcome,
+        lambda p: Outcome.P if is_nim_euclid_p(*p) else Outcome.N,
+    )
+    return tally.report()
 
 
 def suite_zeruclid_bounds(limit: int = 25, correspondence_limit: int = 30) -> dict:
@@ -190,47 +173,36 @@ def suite_zeruclid_bounds(limit: int = 25, correspondence_limit: int = 30) -> di
 
     and sorted P-positions keep their largest heap inside the predicted band.
     """
-    checks = 0
-    bad: list = []
-    solver = Solver(ZERUCLID)
-    for a in range(correspondence_limit + 1):
-        for b in range(correspondence_limit + 1):
-            checks += 1
-            got = solver.outcome((1, a, b))
-            want = push_p_oracle("nim-euclid", (a, b))
-            if got is not want:
-                bad.append(
-                    {"triple": [1, a, b], "search": got.name, "compound": want.name}
-                )
-    for a in range(1, limit + 1):
-        for b in range(a, limit + 1):
-            checks += 1
-            result = zeruclid_bound_check(a, b, ceil_phi(b) + a + 5)
-            if result.violations:
-                bad.append(
-                    {"a": a, "b": b, "violations": [int(c) for c in result.violations]}
-                )
-    return _report("zeruclid-bounds", checks, bad)
+    tally = _Tally("zeruclid-bounds")
+    tally.agree(
+        ((1, a, b) for a, b in itertools.product(range(correspondence_limit + 1), repeat=2)),
+        Solver(ZERUCLID).outcome,
+        lambda p: push_p_oracle("nim-euclid", p[1:]),
+    )
+    for a, b in _pairs(1, limit):
+        result = zeruclid_bound_check(a, b, ceil_phi(b) + a + 5)
+        tally.check(
+            not result.violations,
+            lambda: {"a": a, "b": b, "violations": [int(c) for c in result.violations]},
+        )
+    return tally.report()
 
 
 def suite_zeruclid_residues(limit: int = 15) -> dict:
     """Each (a, b) admits exactly a completions, one per residue class mod a."""
-    checks = 0
-    bad: list = []
-    for a in range(1, limit + 1):
-        for b in range(a, limit + 1):
-            checks += 1
-            survey = zeruclid_residue_survey(a, b)
-            if not survey.complete:
-                bad.append(
-                    {
-                        "a": a,
-                        "b": b,
-                        "hits": [list(h) for h in survey.hits],
-                        "scanned_to": survey.scanned_to,
-                    }
-                )
-    return _report("zeruclid-residues", checks, bad)
+    tally = _Tally("zeruclid-residues")
+    for a, b in _pairs(1, limit):
+        survey = zeruclid_residue_survey(a, b)
+        tally.check(
+            survey.complete,
+            lambda: {
+                "a": a,
+                "b": b,
+                "hits": [list(h) for h in survey.hits],
+                "scanned_to": survey.scanned_to,
+            },
+        )
+    return tally.report()
 
 
 def suite_subtraction_periods(
@@ -240,44 +212,33 @@ def suite_subtraction_periods(
 
     random subtraction compounds stay within the certified state bounds.
     """
-    checks = 0
-    bad: list = []
-    for k1 in range(1, grid_max + 1):
-        for k2 in range(1, grid_max + 1):
-            checks += 1
-            cert = interval_compound_certificate(k1, k2)
-            want = predicted_period(k1, k2)
-            if cert.preperiod != 0 or cert.period != want:
-                bad.append(
-                    {
-                        "k1": k1,
-                        "k2": k2,
-                        "certified": [cert.preperiod, cert.period],
-                        "predicted": want,
-                    }
-                )
+    tally = _Tally("subtraction-periods")
+    tally.agree(
+        itertools.product(range(1, grid_max + 1), repeat=2),
+        lambda k: interval_compound_certificate(*k).to_dict(),
+        lambda k: {"preperiod": 0, "period": predicted_period(*k)},
+    )
 
     rng = random.Random(seed)
     for _ in range(instances):
         s1 = sorted(rng.sample(range(1, max_move + 1), rng.randint(1, max_move)))
         s2 = sorted(rng.sample(range(1, max_move + 1), rng.randint(1, max_move)))
-        checks += 1
         certs = compound_certificates(s1, s2)
         out, values = certs["outcome"], certs["values"]
         out_bound = certs["r2"].period * 2 ** max(s1)
         val_bound = certs["r2_values"].period * (len(s1) + 2) ** max(s1)
-        if out.period > out_bound or values.period > val_bound:
-            bad.append(
-                {
-                    "s1": s1,
-                    "s2": s2,
-                    "outcome_period": out.period,
-                    "outcome_bound": out_bound,
-                    "value_period": values.period,
-                    "value_bound": val_bound,
-                }
-            )
-    return _report("subtraction-periods", checks, bad)
+        tally.check(
+            out.period <= out_bound and values.period <= val_bound,
+            lambda: {
+                "s1": s1,
+                "s2": s2,
+                "outcome_period": out.period,
+                "outcome_bound": out_bound,
+                "value_period": values.period,
+                "value_bound": val_bound,
+            },
+        )
+    return tally.report()
 
 
 def _column_patterns(rows: int) -> list[int]:
@@ -311,9 +272,7 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
 
     certificate, the zero-parity invariant, and the bluff property.
     """
-    checks = 0
-    bad: list = []
-
+    tally = _Tally("cram-propositions")
     boards = (
         [(2, n) for n in range(1, 9)]
         + [(3, 2 * k) for k in range(1, 9)]
@@ -326,50 +285,39 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
         for n in range(1, closed_form_area // m + 1)
         if cram_closed_form(m, n) is not None and (m, n) not in boards
     ]
-    for rows, cols in boards:
-        checks += 1
-        want = cram_closed_form(rows, cols)
-        got = cram_outcome(empty_board(rows, cols))
-        if want is None or got is not want:
-            bad.append(
-                {
-                    "board": [rows, cols],
-                    "search": got.name,
-                    "closed_form": want.name if want else None,
-                }
-            )
+    tally.agree(
+        boards, lambda p: cram_outcome(empty_board(*p)), lambda p: cram_closed_form(*p)
+    )
 
-    search = Solver(CRAM_SEARCH)
-    for rows in range(1, cell_budget + 1):
-        for cols in range(1, cell_budget // rows + 1):
-            for occ in _vertical_occupancies(rows, cols):
-                checks += 1
-                board = GridBoard(rows, cols, occ, Phase.AFTER)
-                fast = post_button_value(board)
-                slow = search.grundy(board)
-                if fast != slow:
-                    bad.append(
-                        {"board": board.to_record(), "split": fast, "search": slow}
-                    )
+    tally.agree(
+        (
+            GridBoard(rows, cols, occ, Phase.AFTER)
+            for rows in range(1, cell_budget + 1)
+            for cols in range(1, cell_budget // rows + 1)
+            for occ in _vertical_occupancies(rows, cols)
+        ),
+        Solver(CRAM_SEARCH).grundy,
+        post_button_value,
+    )
 
     for k in range(5):
-        checks += 1
         report = bluff_report(3, 2 * k + 1)
-        if not report.holds or report.outcome is not Outcome.N:
-            bad.append({"board": [3, 2 * k + 1], "bluff": report._asdict()})
-    checks += 1
-    if bluff_report(2, 2).holds:
-        bad.append({"board": [2, 2], "bluff": "unexpectedly holds"})
+        tally.check(
+            report.holds and report.outcome is Outcome.N,
+            lambda: {"board": [3, 2 * k + 1], "bluff": report._asdict()},
+        )
+    tally.check(
+        not bluff_report(2, 2).holds, lambda: {"board": [2, 2], "bluff": "unexpectedly holds"}
+    )
 
-    checks += 1
     cert = g007_certificate()
-    if (cert.preperiod, cert.period) != (52, 34):
-        bad.append({"strip_certificate": [cert.preperiod, cert.period]})
-    checks += 1
+    tally.check(
+        (cert.preperiod, cert.period) == (52, 34),
+        lambda: {"strip_certificate": [cert.preperiod, cert.period]},
+    )
     even_zeros = [n for n in range(1, 501) if g007(n) == 0 and n % 2 == 0]
-    if even_zeros:
-        bad.append({"even_strip_zeros": even_zeros})
-    return _report("cram-propositions", checks, bad)
+    tally.check(not even_zeros, lambda: {"even_strip_zeros": even_zeros})
+    return tally.report()
 
 
 SUITES = {

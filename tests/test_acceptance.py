@@ -46,10 +46,9 @@ def run_criterion(capsys, number, label, budget, body):
     )
 
 
-def no_counterexamples(*reports):
-    for report in reports:
-        assert report["counterexamples"] == [], report
-        assert report["checks"] > 0
+def no_counterexamples(report, checks):
+    assert report["counterexamples"] == [], report
+    assert report["checks"] == checks, report["suite"]
 
 
 def test_criterion_1_p_position_tables(capsys):
@@ -80,7 +79,7 @@ def test_criterion_1_p_position_tables(capsys):
 
 def test_criterion_2_triple_characterization(capsys):
     def body():
-        no_counterexamples(suite_nim_euclid_triple())
+        no_counterexamples(suite_nim_euclid_triple(), 199_404)
 
     run_criterion(
         capsys, 2, "three Nim-then-Euclid descriptions agree to 10^4 (+ search to 40)", 30.0, body
@@ -89,7 +88,8 @@ def test_criterion_2_triple_characterization(capsys):
 
 def test_criterion_3_push_operator_lemmas(capsys):
     def body():
-        no_counterexamples(suite_push_lemma(), suite_push_characterization())
+        no_counterexamples(suite_push_lemma(), 167)
+        no_counterexamples(suite_push_characterization(), 4_868)
 
     run_criterion(
         capsys, 3, "self-compound adds a unit heap; P-characterization holds", 60.0, body
@@ -98,7 +98,7 @@ def test_criterion_3_push_operator_lemmas(capsys):
 
 def test_criterion_4_other_compounds_to_40(capsys):
     def body():
-        no_counterexamples(suite_push_characterization(limit=40))
+        no_counterexamples(suite_push_characterization(limit=40), 7_748)
 
     run_criterion(
         capsys, 4, "all four compound closed forms match search on [0,40]^2", 60.0, body
@@ -107,10 +107,8 @@ def test_criterion_4_other_compounds_to_40(capsys):
 
 def test_criterion_5_zeruclid_theorems(capsys):
     def body():
-        no_counterexamples(
-            suite_zeruclid_bounds(limit=25, correspondence_limit=30),
-            suite_zeruclid_residues(limit=15),
-        )
+        no_counterexamples(suite_zeruclid_bounds(limit=25, correspondence_limit=30), 1_286)
+        no_counterexamples(suite_zeruclid_residues(limit=15), 120)
 
     run_criterion(
         capsys, 5, "unit-heap correspondence, band bound, residue coverage", 600.0, body
@@ -119,7 +117,7 @@ def test_criterion_5_zeruclid_theorems(capsys):
 
 def test_criterion_6_subtraction_periodicity(capsys):
     def body():
-        no_counterexamples(suite_subtraction_periods())
+        no_counterexamples(suite_subtraction_periods(), 114)
 
     run_criterion(
         capsys, 6, "interval periods match prediction; random sets within bounds", 120.0, body
@@ -139,7 +137,7 @@ def test_criterion_7_strip_sequence(capsys):
 
 def test_criterion_8_push_cram_propositions(capsys):
     def body():
-        no_counterexamples(suite_cram_propositions())
+        no_counterexamples(suite_cram_propositions(), 8_321)
 
     run_criterion(
         capsys, 8, "board outcomes, row-split values, bluff audit to 3x9", 600.0, body

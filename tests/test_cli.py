@@ -213,6 +213,28 @@ def test_csv_unavailable_for_scalar_commands(capsys, tmp_path):
         assert Path(cache).read_bytes() == before, argv
 
 
+def test_cache_only_for_commands_that_search(capsys, tmp_path):
+    cache = tmp_path / "memo.jsonl"
+    for argv in (
+        ["ppos", "--compound", "wythoff", "--max", "8"],
+        ["period", "--k1", "2", "--k2", "3"],
+        ["verify", "push-lemma"],
+    ):
+        for placed in (["--cache", str(cache), *argv], [*argv, "--cache", str(cache)]):
+            code, out, err = run_cli(capsys, *placed)
+            assert (code, out) == (64, "") and "usage error: --cache" in err, placed
+            assert not cache.exists(), placed
+    for argv in (
+        ["solve", "--ruleset", "nim", "--pos", "3,4"],
+        ["grundy", "--ruleset", "nim", "--pos", "3,4"],
+        ["heatmap", "--max", "4"],
+        ["cram", "--rows", "2", "--cols", "3"],
+    ):
+        for placed in (["--cache", str(cache), *argv], [*argv, "--cache", str(cache)]):
+            code, out, _ = run_cli(capsys, *placed)
+            assert code == 0 and json.loads(out)["cache"]["saved"] is True, placed
+
+
 # -- ppos oracles -----------------------------------------------------------------
 
 

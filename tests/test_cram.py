@@ -29,7 +29,7 @@ from gamelab.cram import (
     _strip_xor,
 )
 
-from gamelab.push import push_ruleset
+from gamelab.push import PushPosition, push_ruleset
 
 from reference import board_state, cram_moves, cram_start, naive_outcome, strip_value
 
@@ -274,6 +274,13 @@ def test_component_rulesets_reject_after_phase_boards():
         for search in searches(after):
             with pytest.raises(ValueError, match=f"^{ruleset.name} .*phase=<Phase.AFTER"):
                 search(Solver(ruleset))
+    # A CRAM position is refused in either phase, with the same pointer to CRAM.
+    key = CRAM.canonical(GridBoard(2, 3))
+    for ruleset in (HORIZONTAL, VERTICAL):
+        for phase in Phase:
+            for search in searches(PushPosition(phase, key)):
+                with pytest.raises(ValueError, match="^domino rulesets .*; use CRAM$"):
+                    search(Solver(ruleset))
     # The compounds take both phases: grundy, normal and misere outcome.
     want = {Phase.BEFORE: [2, N, N], Phase.AFTER: [post_button_value(after), P, N]}
     for ruleset in (CRAM, CRAM_SEARCH):

@@ -3,6 +3,7 @@
 import pytest
 
 from gamelab import verify
+from gamelab.core import Outcome
 from gamelab.verify import (
     SUITES,
     run_suite,
@@ -72,3 +73,24 @@ def test_run_all_returns_every_suite(monkeypatch):
     stubs = {name: (lambda name=name: {"suite": name}) for name in SUITES}
     monkeypatch.setattr(verify, "SUITES", stubs)
     assert run_suite("all") == [{"suite": name} for name in stubs]
+
+
+def test_planted_closed_form_error_is_the_one_counterexample(monkeypatch):
+    # A closed form wrong at one position must come back as exactly one
+    # record, in the shape every search-against-closed-form check shares,
+    # and the check count must not change.
+    oracle = verify.push_p_oracle
+    flip = {Outcome.P: Outcome.N, Outcome.N: Outcome.P}
+    planted = ("wythoff-nim", (2, 3))
+
+    def wrong_once(name, position):
+        want = oracle(name, position)
+        return flip[want] if (name, position) == planted else want
+
+    monkeypatch.setattr(verify, "push_p_oracle", wrong_once)
+    report = suite_push_characterization(limit=5, structural_limit=3)
+    truth = oracle(*planted)
+    assert report["checks"] == 4 * (6 * 6 + 4 * 4)
+    assert report["counterexamples"] == [
+        {"compound": "wythoff-nim", "position": (2, 3), "search": truth, "closed_form": flip[truth]}
+    ]
