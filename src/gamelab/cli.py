@@ -33,7 +33,7 @@ from .core import (
     Ruleset,
     Solver,
 )
-from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, base_p_oracle, subtraction
+from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, _check_heaps, base_p_oracle, subtraction
 from .push import (
     COMPOUND_ORACLES,
     COMPOUNDS,
@@ -101,9 +101,8 @@ def _ruleset_from_string(text: str) -> Ruleset:
 
 def _game(args) -> tuple[Solver, object, dict]:
     """Fresh solver, root position and report params from --ruleset/--compound/--pos."""
-    heaps = _int_list(args.pos, "position")
-    if any(h < 0 for h in heaps):
-        raise ValueError(f"heap sizes must be non-negative, got {heaps}")
+    # Every compound is a two-heap game.
+    heaps = _check_heaps(_int_list(args.pos, "position"), arity=2 if args.compound else None)
     if args.compound:
         phase = Phase.AFTER if args.phase == "after" else Phase.BEFORE
         ruleset, position = compound_ruleset(args.compound), PushPosition(phase, heaps)

@@ -1,32 +1,35 @@
 """Push Cram: vertical dominoes, then the button, then horizontal dominoes.
 
 `CRAM` is ``push_ruleset(VERTICAL, HORIZONTAL)``, so the button phase is
-:mod:`gamelab.push`'s alone.  Boards are rectangular bitboards (row-major, at
-most 64 cells).  After the button, rows no longer interact: the remaining game
-is a disjoint sum of one-row strips, and a strip of length n has the Grundy
-value of the take-two-and-split heap game (mex over g(i) xor g(n-2-i)), i.e.
-Dawson's Kayles, octal 0.07.  `HORIZONTAL` scores every board by that
-strip-value xor through its closed-form leaf; `CRAM_SEARCH` is the same
-compound over a leafless horizontal ruleset.  Misere searches never use the
+:mod:`gamelab.push`'s alone: a `GridBoard` is a position before the button,
+and ``PushPosition(Phase.AFTER, board)`` one after it.  Boards are rectangular
+bitboards (row-major, at most 64 cells).  After the button, rows no longer
+interact: the remaining game is a disjoint sum of one-row strips, and a strip
+of length n has the Grundy value of the take-two-and-split heap game (mex
+over g(i) xor g(n-2-i)), i.e. Dawson's Kayles, octal 0.07.  `HORIZONTAL`
+scores every board by that strip-value xor through its closed-form leaf;
+`CRAM_SEARCH` is `CRAM` without that leaf.  Misere searches never use the
 leaf, so both give the same outcomes and Grundy values everywhere.
 
-`GridBoard` is the public and record type.  Inside the solver a board is one
-int key (shape and occupancy), so the memo tables, and the cache files the
-CLI writes from them, are keyed by ints, wrapped after the button.  Both
-domino rulesets share one option generator and one canonicalizer over these
-keys, built on per-shape domino lists (each domino with its flip images) and
-on row-reversal and row-strip-value tables that fill as rows are met.  The
-solver canonicalizes only its root; the option generator flips the parent
-once and lists each child already canonical, as the least of the parent's
-images OR the domino's.  Options come mirror first: the placements whose
-board equals one of its own flips (the classic mirror replies, which often
-end an outcome node at once), then the rest; the button child follows them.
-Before the button, the compound's leaf reads a board whose strip-value xor is
-0 as N, since pressing the button wins there, so normal-play outcome searches
-expand only boards whose button child is an N-position.
-`canonical_board` and `legal_moves` decode that kernel back to `GridBoard`s:
-the canonical form, and the search's own option list (canonical children in
-the order above); `post_button_value` reads a board's strip-value xor.
+Inside the solver a board is one int key (shape and occupancy), so the memo
+tables, and the cache files the CLI writes from them, are keyed by ints,
+wrapped after the button.  Both domino rulesets share one option generator
+and one canonicalizer over these keys, built on per-shape domino lists (each
+domino with its flip images) and on row-reversal and row-strip-value tables
+that fill as rows are met.  The solver canonicalizes only its root; the
+option generator flips the parent once and lists each child already
+canonical, as the least of the parent's images OR the domino's.  Options
+come mirror first: the placements whose board equals one of its own flips
+(the classic mirror replies, which often end an outcome node at once), then
+the rest; the button child follows them.  Before the button, the compound's
+leaf reads a board whose strip-value xor is 0 as N, since pressing the
+button wins there, so normal-play outcome searches expand only boards whose
+button child is an N-position.
+`canonical_board` and `legal_moves` decode that kernel back to Push Cram
+positions: the canonical form, and the search's own option list (canonical
+children in the order above); `post_button_value` reads a board's
+strip-value xor.  `to_record` and `from_record` write and read a position as
+one text line.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -94,24 +97,21 @@ class _BoardFields(NamedTuple):
     rows: int
     cols: int
     occupied: int = 0
-    phase: Phase = Phase.BEFORE
 
 
 class GridBoard(_BoardFields):
-    """An immutable rows x cols board: occupancy bits row-major, and the phase."""
+    """An immutable rows x cols board, occupancy bits row-major."""
 
     __slots__ = ()
 
-    def __new__(cls, rows: int, cols: int, occupied: int = 0, phase: Phase = Phase.BEFORE):
+    def __new__(cls, rows: int, cols: int, occupied: int = 0):
         if rows < 1 or cols < 1:
             raise ValueError(f"board must be at least 1x1, got {rows}x{cols}")
         if rows * cols > MAX_CELLS:
             raise ValueError(f"board {rows}x{cols} exceeds {MAX_CELLS} cells")
         if not 0 <= occupied < (1 << (rows * cols)):
             raise ValueError(f"occupancy out of range for {rows}x{cols}")
-        if not isinstance(phase, Phase):
-            raise ValueError(f"bad phase {phase!r}")
-        return super().__new__(cls, rows, cols, occupied, phase)
+        return super().__new__(cls, rows, cols, occupied)
 
     def bit(self, r: int, c: int) -> int:
         return 1 << (r * self.cols + c)
@@ -121,21 +121,24 @@ class GridBoard(_BoardFields):
             raise ValueError(f"cell ({r}, {c}) outside {self.rows}x{self.cols}")
         return not self.occupied & self.bit(r, c)
 
-    def to_record(self) -> str:
-        """One-line text record: 'rows cols phase hex-occupancy'."""
-        return f"{self.rows} {self.cols} {self.phase.value} {self.occupied:#x}"
 
-    @classmethod
-    def from_record(cls, line: str) -> "GridBoard":
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"board record needs 4 fields, got {line!r}")
-        rows, cols = int(parts[0]), int(parts[1])
-        try:
-            phase = Phase(parts[2])
-        except ValueError:
-            raise ValueError(f"bad phase {parts[2]!r} in board record") from None
-        return cls(rows, cols, int(parts[3], 16), phase)
+def to_record(position) -> str:
+    """One-line text record of a Push Cram position: 'rows cols phase hex-occupancy'."""
+    phase, board = position if position.__class__ is PushPosition else (Phase.BEFORE, position)
+    return f"{board.rows} {board.cols} {phase.value} {board.occupied:#x}"
+
+
+def from_record(line: str):
+    """The Push Cram position of a `to_record` line."""
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError(f"board record needs 4 fields, got {line!r}")
+    try:
+        phase = Phase(parts[2])
+    except ValueError:
+        raise ValueError(f"bad phase {parts[2]!r} in board record") from None
+    board = GridBoard(int(parts[0]), int(parts[1]), int(parts[3], 16))
+    return PushPosition(phase, board) if phase is Phase.AFTER else board
 
 
 # -- the search kernel ----------------------------------------------------------
@@ -217,10 +220,7 @@ def _placements(orientation: str):
     flips of each other give one child twice."""
 
     def options(key: int) -> list[int]:
-        try:
-            shape = _SHAPES[key >> _SHAPE_SHIFT]
-        except TypeError:
-            raise _not_a_key(f"{orientation}-dominoes", key) from None
+        shape = _SHAPES[key >> _SHAPE_SHIFT]
         occ = key & _OCC_MASK
         base = key ^ occ
         h, v, hv = shape.images(occ)
@@ -241,11 +241,10 @@ def _placements(orientation: str):
 
 def _canonical(position):
     """Key of the least occupancy over the flip group {identity, h, v, hv}; a
-    GridBoard root maps to its CRAM position (the key, wrapped after the button)."""
+    GridBoard maps to its key first."""
     if position.__class__ is GridBoard:
-        key = _canonical(_key(position))
-        return PushPosition(Phase.AFTER, key) if position.phase is Phase.AFTER else key
-    if position.__class__ is PushPosition:
+        position = _key(position)
+    elif position.__class__ is PushPosition:
         raise ValueError(f"domino rulesets take keys and GridBoards, got {position!r}; use CRAM")
     occ = position & _OCC_MASK
     return position ^ occ | min(occ, *_SHAPES[position >> _SHAPE_SHIFT].images(occ))
@@ -253,10 +252,7 @@ def _canonical(position):
 
 def _strip_xor(key: int) -> int:
     """Grundy value of a key under horizontal play: xor of the rows' values."""
-    try:
-        shape = _SHAPES[key >> _SHAPE_SHIFT]
-    except TypeError:
-        raise _not_a_key(HORIZONTAL.name, key) from None
+    shape = _SHAPES[key >> _SHAPE_SHIFT]
     strip, mask = shape.strip, shape.row_mask
     total = 0
     for at, _ in shape.row_shifts:
@@ -268,32 +264,24 @@ def _key(board: GridBoard) -> int:
     return (board.rows << 8 | board.cols) << _SHAPE_SHIFT | board.occupied
 
 
-def _not_a_key(name: str, position) -> ValueError:
-    """The error for an after-phase board, which is a CRAM position."""
-    board = _board(position) if position.__class__ is PushPosition else position
-    return ValueError(f"{name} plays before-phase boards only, got {board!r}; use CRAM")
+def _position(p):
+    """The Push Cram position of a CRAM key, the inverse of `CRAM.canonical`:
+    an int key is a board, PushPosition(AFTER, key) that board after the button."""
+    if p.__class__ is PushPosition:
+        return PushPosition(Phase.AFTER, _position(p[1]))
+    shape = p >> _SHAPE_SHIFT
+    return GridBoard(shape >> 8, shape & 0xFF, p & _OCC_MASK)
 
 
-def _board(position) -> GridBoard:
-    """The GridBoard of a CRAM position, the inverse of `_canonical`'s GridBoard
-    branch: an int key is a before-phase board, PushPosition(AFTER, key) an
-    after-phase one."""
-    phase = Phase.BEFORE
-    if position.__class__ is PushPosition:
-        phase, position = position
-    shape = position >> _SHAPE_SHIFT
-    return GridBoard(shape >> 8, shape & 0xFF, position & _OCC_MASK, phase)
+def canonical_board(position):
+    """Least occupancy over the flip group {identity, h, v, hv}, in the same phase."""
+    return _position(CRAM.canonical(position))
 
 
-def canonical_board(board: GridBoard) -> GridBoard:
-    """Least occupancy over the flip group {identity, h, v, hv}."""
-    return _board(CRAM.canonical(board))
-
-
-def legal_moves(board: GridBoard) -> list[GridBoard]:
-    """The search's own children of a board: canonical, mirror replies first,
-    the button child last, one entry per placement."""
-    return [_board(p) for p in CRAM.options(CRAM.canonical(board))]
+def legal_moves(position) -> list:
+    """The search's own children of a Push Cram position: canonical, mirror
+    replies first, the button child last, one entry per placement."""
+    return [_position(p) for p in CRAM.options(CRAM.canonical(position))]
 
 
 def post_button_value(board: GridBoard) -> int:
@@ -304,13 +292,12 @@ def post_button_value(board: GridBoard) -> int:
 
 # -- rulesets -----------------------------------------------------------------
 
-#: Vertical dominoes: the game before the button.  Int keys and before-phase
-#: boards only, as for `HORIZONTAL`; `CRAM` and `CRAM_SEARCH` take either phase.
+#: Vertical dominoes: the game before the button.  Like `HORIZONTAL`, it
+#: takes int keys and GridBoards; `CRAM` and `CRAM_SEARCH` take PushPositions.
 VERTICAL = Ruleset("vertical-dominoes", _placements("vertical"), canonical=_canonical)
 
-#: Horizontal dominoes, scored in closed form by the strip-value xor.  Int
-#: keys and before-phase boards only: a board's after-button value is
-#: ``Solver(HORIZONTAL).grundy`` of its before-phase twin.
+#: Horizontal dominoes, scored in closed form by the strip-value xor: a
+#: board's after-button value is ``Solver(HORIZONTAL).grundy(board)``.
 HORIZONTAL = Ruleset(
     "horizontal-dominoes", _placements("horizontal"), canonical=_canonical, leaf=_strip_xor
 )
@@ -318,15 +305,13 @@ HORIZONTAL = Ruleset(
 #: Fast solver: HORIZONTAL's leaf scores every after-button board.
 CRAM = push_ruleset(VERTICAL, HORIZONTAL)
 
-#: Pure two-phase search, no strip reduction; for cross-validation.
-CRAM_SEARCH = push_ruleset(
-    VERTICAL, Ruleset("horizontal-dominoes-search", HORIZONTAL.options, canonical=_canonical)
-)
+#: Pure two-phase search: CRAM without its leaf, for cross-validation.
+CRAM_SEARCH = Ruleset("push-cram-search", CRAM.options, CRAM.canonical)
 
 
-def cram_outcome(board: GridBoard) -> Outcome:
-    """Outcome of a board position under the fast solver."""
-    return core.solver_for(CRAM).outcome(board)
+def cram_outcome(position) -> Outcome:
+    """Outcome of a Push Cram position under the fast solver."""
+    return core.solver_for(CRAM).outcome(position)
 
 
 def empty_board(rows: int, cols: int) -> GridBoard:

@@ -35,6 +35,7 @@ from .periodicity import (
 from .push import (
     COMPOUNDS,
     Phase,
+    PushPosition,
     compound_ruleset,
     is_nim_euclid_p,
     nim_euclid_fib_classify,
@@ -289,14 +290,15 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
         boards, lambda p: cram_outcome(empty_board(*p)), lambda p: cram_closed_form(*p)
     )
 
+    search = Solver(CRAM_SEARCH)
     tally.agree(
         (
-            GridBoard(rows, cols, occ, Phase.AFTER)
+            GridBoard(rows, cols, occ)
             for rows in range(1, cell_budget + 1)
             for cols in range(1, cell_budget // rows + 1)
             for occ in _vertical_occupancies(rows, cols)
         ),
-        Solver(CRAM_SEARCH).grundy,
+        lambda board: search.grundy(PushPosition(Phase.AFTER, board)),
         post_button_value,
     )
 

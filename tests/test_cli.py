@@ -301,6 +301,21 @@ def test_exit_codes(capsys, argv, code):
         assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--compound", "nim-euclid", "--pos", "3,4,5"),
+        ("grundy", "--compound", "wythoff-nim", "--pos", "2,2,9", "--phase", "after"),
+    ],
+)
+def test_compound_root_must_be_two_heaps(capsys, argv):
+    # Every compound is a two-heap game: the root is refused before any
+    # search, and the error names the position that was given.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: expected 2 heaps, got ({argv[4].replace(',', ', ')})\n"
+
+
 def test_horizon_exceeded_exit_two(capsys, monkeypatch):
     def blow_up(k1, k2, convention=None):
         raise HorizonExceeded("stream too short")
@@ -657,6 +672,18 @@ def test_corrupt_cache_ignored(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["cache"]["loaded"] > 0
+
+
+def test_unwritable_cache_still_answers(capsys, tmp_path):
+    path = tmp_path / "missing" / "nim.cache"
+    code, out, _ = run_cli(
+        capsys, "solve", "--ruleset", "nim", "--pos", "3,3", "--cache", str(path)
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"] == {"outcome": "P"}
+    assert report["cache"]["loaded"] == 0 and report["cache"]["saved"] is False
+    assert not path.parent.exists()
 
 
 def test_cache_on_heatmap(capsys, tmp_path):

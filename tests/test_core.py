@@ -177,7 +177,8 @@ def test_children_of_canonical_positions_are_canonical():
     for rows, cols in itertools.product(range(3, 6), range(4, 6)):
         for _ in range(20):
             occ = rng.getrandbits(rows * cols) & rng.getrandbits(rows * cols)
-            boards += [GridBoard(rows, cols, occ, phase) for phase in Phase]
+            board = GridBoard(rows, cols, occ)
+            boards += [board, PushPosition(Phase.AFTER, board)]
     for ruleset in (CRAM, CRAM_SEARCH):
         _assert_children_canonical(ruleset, boards)
 

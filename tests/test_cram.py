@@ -21,11 +21,13 @@ from gamelab.cram import (
     cram_closed_form,
     cram_outcome,
     empty_board,
+    from_record,
     g007,
     g007_certificate,
     legal_moves,
     phase1_value,
     post_button_value,
+    to_record,
     _strip_xor,
 )
 
@@ -35,6 +37,11 @@ from reference import board_state, cram_moves, cram_start, naive_outcome, strip_
 
 N, P = Outcome.N, Outcome.P
 MISERE = Convention.MISERE
+
+
+def _at(board, phase):
+    """The Push Cram position of a board in a phase."""
+    return PushPosition(phase, board) if phase is Phase.AFTER else board
 
 
 # -- strip values --------------------------------------------------------------
@@ -73,17 +80,21 @@ def test_g007_domain():
 
 def test_board_record_round_trip():
     board = empty_board(3, 4)
-    assert board.to_record() == "3 4 before 0x0"
-    assert GridBoard.from_record("3 4 before 0x0") == board
-    busy = GridBoard(2, 3, 0b100101, Phase.AFTER)
-    assert GridBoard.from_record(busy.to_record()) == busy
+    assert to_record(board) == "3 4 before 0x0"
+    assert from_record("3 4 before 0x0") == board
+    busy = PushPosition(Phase.AFTER, GridBoard(2, 3, 0b100101))
+    assert to_record(busy) == "2 3 after 0x25"
+    assert from_record("2 3 after 0x25") == busy
+    for line in ("3 4 before 0x0", "2 3 after 0x25"):
+        assert to_record(from_record(line)) == line
+    assert to_record(PushPosition(Phase.BEFORE, board)) == "3 4 before 0x0"
 
 
 def test_board_record_errors():
     with pytest.raises(ValueError):
-        GridBoard.from_record("3 4 before")
+        from_record("3 4 before")
     with pytest.raises(ValueError):
-        GridBoard.from_record("3 4 sideways 0x0")
+        from_record("3 4 sideways 0x0")
 
 
 def test_board_validation():
@@ -95,8 +106,7 @@ def test_board_validation():
         GridBoard(2, 2, occupied=1 << 4)
     with pytest.raises(ValueError):
         GridBoard(2, 2, occupied=-1)
-    with pytest.raises(ValueError):
-        GridBoard(2, 2, phase="before")
+    assert GridBoard._fields == ("rows", "cols", "occupied")
     assert GridBoard(8, 8).rows == 8
     assert MAX_CELLS == 64
 
@@ -115,9 +125,8 @@ def test_canonical_board_flip_invariance():
     assert canonical_board(board) == canonical_board(flipped)
     assert canonical_board(board).occupied == 0b001001
     # Canonicalization never changes shape or phase.
-    after = GridBoard(2, 3, 0b100100, Phase.AFTER)
-    canon = canonical_board(after)
-    assert (canon.rows, canon.cols, canon.phase) == (2, 3, Phase.AFTER)
+    after = PushPosition(Phase.AFTER, flipped)
+    assert canonical_board(after) == PushPosition(Phase.AFTER, board)
 
 
 def _flip_images(board):
@@ -142,8 +151,8 @@ def test_canonical_board_agrees_across_flips():
             occ = rng.getrandbits(rows * cols)
             images = [occ, *_flip_images(GridBoard(rows, cols, occ))]
             for phase in Phase:
-                canon = {canonical_board(GridBoard(rows, cols, image, phase)) for image in images}
-                assert canon == {GridBoard(rows, cols, min(images), phase)}, (rows, cols, occ)
+                canon = {canonical_board(_at(GridBoard(rows, cols, image), phase)) for image in images}
+                assert canon == {_at(GridBoard(rows, cols, min(images)), phase)}, (rows, cols, occ)
 
 
 def test_outcome_invariant_under_flips():
@@ -159,10 +168,10 @@ def test_outcome_invariant_under_flips():
 
 def test_legal_moves_button_last():
     moves = legal_moves(empty_board(1, 3))
-    assert [b.to_record() for b in moves] == ["1 3 after 0x0"]
+    assert [to_record(p) for p in moves] == ["1 3 after 0x0"]
     moves = legal_moves(empty_board(2, 1))
-    assert [b.to_record() for b in moves] == ["2 1 before 0x3", "2 1 after 0x0"]
-    assert legal_moves(GridBoard(2, 2, 0b1111, Phase.AFTER)) == []
+    assert [to_record(p) for p in moves] == ["2 1 before 0x3", "2 1 after 0x0"]
+    assert legal_moves(PushPosition(Phase.AFTER, GridBoard(2, 2, 0b1111))) == []
 
 
 def test_legal_moves_mirror_first():
@@ -170,24 +179,22 @@ def test_legal_moves_mirror_first():
     # flips (on 3x3, the middle column), then the rest, then the button child.
     for board in (empty_board(3, 3), empty_board(4, 3), GridBoard(4, 3, 0b010_000_000_010)):
         moves = legal_moves(board)
-        assert moves[-1] == GridBoard(board.rows, board.cols, board.occupied, Phase.AFTER)
+        assert moves[-1] == PushPosition(Phase.AFTER, board)
         mirrored = [b.occupied in _flip_images(b) for b in moves[:-1]]
         assert mirrored == sorted(mirrored, reverse=True), board
         assert True in mirrored and False in mirrored, board
     moves = legal_moves(empty_board(3, 3))
-    assert [b.occupied for b in moves] == [0b010_010, 0b010_010, *[0b1_001] * 4, 0]
+    assert [b.occupied for b in moves[:-1]] == [0b010_010, 0b010_010, *[0b1_001] * 4]
 
 
 def test_legal_moves_by_phase():
     board = empty_board(2, 2)
     before = legal_moves(board)
-    assert before[-1].phase is Phase.AFTER and before[-1].occupied == 0
+    assert before[-1] == PushPosition(Phase.AFTER, board)
     # The two vertical dominoes are flips of each other: one canonical child, twice.
-    assert [b.occupied for b in before[:-1]] == [0b0101, 0b0101]
-    assert all(b.phase is Phase.BEFORE for b in before[:-1])
-    after = legal_moves(GridBoard(2, 2, 0, Phase.AFTER))
-    assert [b.occupied for b in after] == [0b0011, 0b0011]
-    assert all(b.phase is Phase.AFTER for b in after)
+    assert before[:-1] == [GridBoard(2, 2, 0b0101)] * 2
+    after = legal_moves(PushPosition(Phase.AFTER, board))
+    assert after == [PushPosition(Phase.AFTER, GridBoard(2, 2, 0b0011))] * 2
 
 
 def test_legal_moves_match_cell_set_reference():
@@ -196,9 +203,10 @@ def test_legal_moves_match_cell_set_reference():
     for rows, cols in [(2, 3), (3, 3), (3, 2), (1, 4), (3, 4)]:
         for occ in range(1 << (rows * cols)):
             for phase, pushed in ((Phase.BEFORE, False), (Phase.AFTER, True)):
-                board = GridBoard(rows, cols, occ, phase)
+                position = _at(GridBoard(rows, cols, occ), phase)
                 got = Counter(
-                    (b.occupied, b.phase is Phase.AFTER) for b in legal_moves(board)
+                    (p[1].occupied, True) if p.__class__ is PushPosition else (p.occupied, False)
+                    for p in legal_moves(position)
                 )
                 ref = Counter()
                 for _, _, cells, pushed2 in cram_moves(board_state(rows, cols, occ, pushed)):
@@ -213,11 +221,11 @@ def test_legal_moves_match_cell_set_reference():
 
 
 def test_post_button_value_examples():
-    assert post_button_value(GridBoard(2, 3, 0, Phase.AFTER)) == 0
-    assert post_button_value(GridBoard(1, 5, 0b00100, Phase.AFTER)) == 0
-    assert post_button_value(GridBoard(1, 5, 0, Phase.AFTER)) == g007(5) == 0
-    assert post_button_value(GridBoard(1, 4, 0, Phase.AFTER)) == 2
-    assert post_button_value(GridBoard(2, 4, 0b0000_0001, Phase.AFTER)) == g007(3) ^ g007(4)
+    assert post_button_value(GridBoard(2, 3, 0)) == 0
+    assert post_button_value(GridBoard(1, 5, 0b00100)) == 0
+    assert post_button_value(GridBoard(1, 5, 0)) == g007(5) == 0
+    assert post_button_value(GridBoard(1, 4, 0)) == 2
+    assert post_button_value(GridBoard(2, 4, 0b0000_0001)) == g007(3) ^ g007(4)
 
 
 def test_post_button_value_empty_boards():
@@ -226,16 +234,16 @@ def test_post_button_value_empty_boards():
             want = 0
             for _ in range(rows):
                 want ^= g007(cols)
-            board = GridBoard(rows, cols, 0, Phase.AFTER)
-            assert post_button_value(board) == want
+            assert post_button_value(GridBoard(rows, cols)) == want
 
 
 def test_post_button_value_equals_search_grundy():
     solver = Solver(CRAM_SEARCH)
     for rows, cols in [(1, 6), (2, 3), (3, 3), (2, 4)]:
         for occ in range(1 << (rows * cols)):
-            board = GridBoard(rows, cols, occ, Phase.AFTER)
-            assert post_button_value(board) == solver.grundy(board), (rows, cols, occ)
+            board = GridBoard(rows, cols, occ)
+            after = PushPosition(Phase.AFTER, board)
+            assert post_button_value(board) == solver.grundy(after), (rows, cols, occ)
 
 
 # -- outcomes ------------------------------------------------------------------
@@ -244,17 +252,18 @@ def test_post_button_value_equals_search_grundy():
 def test_cram_is_the_push_compound():
     assert CRAM is push_ruleset(VERTICAL, HORIZONTAL)
     assert CRAM.leaf is not None and CRAM_SEARCH.leaf is None
+    # CRAM_SEARCH is CRAM without its leaf: the same moves and canonical forms.
+    assert CRAM_SEARCH.options is CRAM.options and CRAM_SEARCH.canonical is CRAM.canonical
 
 
 def test_component_rulesets_take_before_phase_boards():
-    # VERTICAL and HORIZONTAL read int keys and before-phase boards; a board's
-    # after-button game is HORIZONTAL's game on its before-phase twin.
+    # VERTICAL and HORIZONTAL read int keys and boards; a board's after-button
+    # game is HORIZONTAL's game on that board.
     horizontal, vertical = Solver(HORIZONTAL), Solver(VERTICAL)
     for rows, cols in [(1, 5), (2, 3), (3, 3), (2, 4)]:
         for occ in range(1 << (rows * cols)):
-            twin = GridBoard(rows, cols, occ, Phase.AFTER)
-            got = horizontal.grundy(GridBoard(rows, cols, occ))
-            assert got == post_button_value(twin), (rows, cols, occ)
+            board = GridBoard(rows, cols, occ)
+            assert horizontal.grundy(board) == post_button_value(board), (rows, cols, occ)
     for rows in range(1, 5):
         for cols in range(1, 5):
             got = vertical.grundy(empty_board(rows, cols))
@@ -269,24 +278,21 @@ def test_component_rulesets_reject_after_phase_boards():
             lambda solver: solver.outcome(board, Convention.MISERE),
         ]
 
-    after = GridBoard(2, 3, 0, Phase.AFTER)
+    # A CRAM position is refused in either phase, as a board or as a key,
+    # with a pointer to CRAM.
+    board = GridBoard(2, 3)
     for ruleset in (HORIZONTAL, VERTICAL):
-        for search in searches(after):
-            with pytest.raises(ValueError, match=f"^{ruleset.name} .*phase=<Phase.AFTER"):
-                search(Solver(ruleset))
-    # A CRAM position is refused in either phase, with the same pointer to CRAM.
-    key = CRAM.canonical(GridBoard(2, 3))
-    for ruleset in (HORIZONTAL, VERTICAL):
-        for phase in Phase:
-            for search in searches(PushPosition(phase, key)):
-                with pytest.raises(ValueError, match="^domino rulesets .*; use CRAM$"):
-                    search(Solver(ruleset))
+        for inner in (board, CRAM.canonical(board)):
+            for phase in Phase:
+                for search in searches(PushPosition(phase, inner)):
+                    with pytest.raises(ValueError, match="^domino rulesets .*; use CRAM$"):
+                        search(Solver(ruleset))
     # The compounds take both phases: grundy, normal and misere outcome.
-    want = {Phase.BEFORE: [2, N, N], Phase.AFTER: [post_button_value(after), P, N]}
+    want = {Phase.BEFORE: [2, N, N], Phase.AFTER: [post_button_value(board), P, N]}
     for ruleset in (CRAM, CRAM_SEARCH):
         for phase, answers in want.items():
-            board = GridBoard(2, 3, 0, phase)
-            assert [search(Solver(ruleset)) for search in searches(board)] == answers
+            position = _at(board, phase)
+            assert [search(Solver(ruleset)) for search in searches(position)] == answers
 
 
 def test_outcome_examples():
@@ -303,10 +309,10 @@ def test_fast_solver_matches_pure_search():
     pure = Solver(CRAM_SEARCH)
     shapes = [(1, 5), (2, 3), (3, 3), (2, 5), (4, 3), (3, 4)]
     boards = [empty_board(rows, cols) for rows, cols in shapes]
-    boards.append(GridBoard(1, 4, 0, Phase.AFTER))
+    boards.append(PushPosition(Phase.AFTER, GridBoard(1, 4)))
     for rows, cols, step in [(2, 3, 1), (3, 3, 5), (1, 7, 3), (3, 4, 37)]:
         for occ in range(0, 1 << (rows * cols), step):
-            boards += [GridBoard(rows, cols, occ, phase) for phase in Phase]
+            boards += [_at(GridBoard(rows, cols, occ), phase) for phase in Phase]
     for board in boards:
         assert fast.outcome(board) is pure.outcome(board), board
         assert fast.grundy(board) == pure.grundy(board), board

@@ -87,6 +87,17 @@ def test_certified_period_constant_stream():
     assert cert.state_indices[1] > cert.state_indices[0]
 
 
+def test_certified_period_walks_back_to_true_preperiod():
+    # A scan started past the preperiod first finds the cycle at `start`,
+    # then walks back over every value that already repeats with the period.
+    cycle = itertools.cycle((1, 2, 3))
+    cert = certified_period(cycle, window=1, modulus=3, state_bound=9, start=5)
+    assert (cert.preperiod, cert.period) == (0, 3)
+    stream = itertools.chain((7, 7), itertools.cycle((1, 2, 3)))
+    cert = certified_period(stream, window=1, modulus=3, state_bound=9, start=6)
+    assert (cert.preperiod, cert.period) == (2, 3)
+
+
 def test_certified_period_simple_compound():
     stream = outcome_stream({1}, subtraction({1}))
     cert = certified_period(stream, window=1, modulus=2, state_bound=8)
