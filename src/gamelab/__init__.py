@@ -20,8 +20,10 @@ __version__ = "0.1.0"
 # submodule that defines it; everything else is imported from its submodule.
 # A name is looked up on first use, so `import gamelab` loads no submodule.
 _SOURCES = {
+    "CRAM": "cram",
     "Convention": "core",
     "EUCLID": "heaps",
+    "GridBoard": "cram",
     "NIM": "heaps",
     "Outcome": "core",
     "Phase": "push",
@@ -30,8 +32,6 @@ _SOURCES = {
     "WYTHOFF": "heaps",
     "ZERUCLID": "heaps",
     "compound_ruleset": "push",
-    "cram_outcome": "cram",
-    "empty_board": "cram",
     "g007": "cram",
     "interval_compound_certificate": "periodicity",
     "is_nim_euclid_p": "push",

@@ -33,7 +33,7 @@ from .core import (
     Ruleset,
     Solver,
 )
-from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, _check_heaps, base_p_oracle, subtraction
+from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, _check_heaps, subtraction
 from .push import (
     COMPOUND_ORACLES,
     COMPOUNDS,
@@ -251,10 +251,10 @@ def _cmd_grundy(args):
 
 def _closed_form_pairs(oracle: str, limit: int) -> list[list[int]]:
     if oracle in COMPOUND_ORACLES:
-        test = lambda a, b: push_p_oracle(oracle, (a, b)) is Outcome.P
+        test = lambda pair: push_p_oracle(oracle, pair) is Outcome.P
         start = 0
     elif oracle in BASE_ORACLES:
-        test = lambda a, b: base_p_oracle(oracle, (a, b)) is Outcome.P
+        test = BASE_ORACLES[oracle]
         start = 1 if oracle.startswith("euclid") else 0  # euclid forms need a,b >= 1
     else:
         known = ", ".join([*COMPOUND_ORACLES, *BASE_ORACLES])
@@ -263,7 +263,7 @@ def _closed_form_pairs(oracle: str, limit: int) -> list[list[int]]:
         [a, b]
         for a in range(start, limit + 1)
         for b in range(a, limit + 1)
-        if test(a, b)
+        if test((a, b))
     ]
 
 
@@ -301,7 +301,7 @@ def _cmd_period(args):
         params = {"k1": args.k1, "k2": args.k2, "convention": convention.value}
         result = {
             "predicted": periodicity.predicted_period(args.k1, args.k2),
-            "certified": cert.to_dict(),
+            "certified": cert._asdict(),
         }
         return params, result, None, EX_OK
     if args.s1 is None or args.r2 is None:
@@ -315,7 +315,7 @@ def _cmd_period(args):
         "convention": convention.value,
     }
     order = ("r2", "r2_values", "outcome", "values")
-    result = {name: certs[name].to_dict() for name in order if name in certs}
+    result = {name: certs[name]._asdict() for name in order if name in certs}
     return params, result, None, EX_OK
 
 
@@ -328,7 +328,7 @@ def _cmd_cram(args):
         if args.bluff:
             report = cram.bluff_report(args.rows, args.cols, solver)._asdict()
             return {"outcome": report.pop("outcome").value, "bluff": report}
-        return {"outcome": solver.outcome(cram.empty_board(args.rows, args.cols)).value}
+        return {"outcome": solver.outcome(cram.GridBoard(args.rows, args.cols)).value}
 
     result, cache = _with_cache(args, solver, Convention.NORMAL, compute)
     params = {"rows": args.rows, "cols": args.cols, "bluff": bool(args.bluff)}

@@ -27,9 +27,9 @@ button wins there, so normal-play outcome searches expand only boards whose
 button child is an N-position.
 `canonical_board` and `legal_moves` decode that kernel back to Push Cram
 positions: the canonical form, and the search's own option list (canonical
-children in the order above); `post_button_value` reads a board's
-strip-value xor.  `to_record` and `from_record` write and read a position as
-one text line.
+children in the order above); `post_button_value` reads the strip-value xor
+of a position's board, in either phase.  `to_record` and `from_record` write
+and read a position as one text line.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -83,11 +83,7 @@ def g007_certificate() -> PeriodCertificate:
     has no cells and no moves, so it sits outside the reported table.
     """
     cert = _strip_table()[1]
-    return PeriodCertificate(
-        preperiod=max(cert.preperiod - 1, 0),
-        period=cert.period,
-        checked_to=cert.checked_to,
-    )
+    return cert._replace(preperiod=max(cert.preperiod - 1, 0))
 
 
 # -- boards -------------------------------------------------------------------
@@ -122,9 +118,17 @@ class GridBoard(_BoardFields):
         return not self.occupied & self.bit(r, c)
 
 
+def _phase_board(position) -> tuple[Phase, GridBoard]:
+    """The phase and board of a Push Cram position (a GridBoard, or a PushPosition over one)."""
+    phase, board = position if position.__class__ is PushPosition else (Phase.BEFORE, position)
+    if phase.__class__ is not Phase or board.__class__ is not GridBoard:
+        raise ValueError(f"expected a GridBoard or a PushPosition over one, got {position!r}")
+    return phase, board
+
+
 def to_record(position) -> str:
     """One-line text record of a Push Cram position: 'rows cols phase hex-occupancy'."""
-    phase, board = position if position.__class__ is PushPosition else (Phase.BEFORE, position)
+    phase, board = _phase_board(position)
     return f"{board.rows} {board.cols} {phase.value} {board.occupied:#x}"
 
 
@@ -284,10 +288,10 @@ def legal_moves(position) -> list:
     return [_position(p) for p in CRAM.options(CRAM.canonical(position))]
 
 
-def post_button_value(board: GridBoard) -> int:
-    """Grundy value of the board's after-button game: xor of strip values over
-    the maximal free runs of each row."""
-    return _strip_xor(_key(board))
+def post_button_value(position) -> int:
+    """Grundy value of a Push Cram position's board after the button, in either
+    phase: xor of strip values over the maximal free runs of each row."""
+    return _strip_xor(_key(_phase_board(position)[1]))
 
 
 # -- rulesets -----------------------------------------------------------------
@@ -309,15 +313,6 @@ CRAM = push_ruleset(VERTICAL, HORIZONTAL)
 CRAM_SEARCH = Ruleset("push-cram-search", CRAM.options, CRAM.canonical)
 
 
-def cram_outcome(position) -> Outcome:
-    """Outcome of a Push Cram position under the fast solver."""
-    return core.solver_for(CRAM).outcome(position)
-
-
-def empty_board(rows: int, cols: int) -> GridBoard:
-    return GridBoard(rows, cols)
-
-
 def cram_closed_form(rows: int, cols: int) -> Outcome | None:
     """Outcome of the empty rows x cols board where a strategy is known.
 
@@ -330,7 +325,7 @@ def cram_closed_form(rows: int, cols: int) -> Outcome | None:
     row count; odd-row four-column boards are P.  Everything else is left to
     search.
     """
-    empty_board(rows, cols)  # validates the shape
+    GridBoard(rows, cols)  # validates the shape
     if rows % 2 == 0:
         return Outcome.N
     if g007(cols) == 0:
@@ -381,8 +376,7 @@ def bluff_report(rows: int, cols: int, solver: core.Solver | None = None) -> Blu
         child = root ^ g007(rows) ^ g007(i) ^ g007(rows - 2 - i)
         if child != 0:
             losing += cols
-    board = empty_board(rows, cols)
-    out = cram_outcome(board) if solver is None else solver.outcome(board)
+    out = (solver or core.solver_for(CRAM)).outcome(GridBoard(rows, cols))
     return BluffReport(
         holds=out is Outcome.N and root != 0 and losing == 0,
         outcome=out,

@@ -17,7 +17,7 @@ from operator import xor
 from typing import Iterable
 
 from .arith import consecutive_fib_index, is_wythoff_pair, ratio_below_phi
-from .core import Outcome, Ruleset
+from .core import Ruleset
 
 
 def _check_heaps(position, arity: int | None = None) -> tuple:
@@ -204,12 +204,3 @@ BASE_ORACLES = {
     "euclid-normal": is_euclid_p,
     "euclid-misere": is_euclid_misere_p,
 }
-
-
-def base_p_oracle(mode: str, position: tuple) -> Outcome:
-    """Closed-form outcome for a named two-heap game; see BASE_ORACLES keys."""
-    try:
-        test = BASE_ORACLES[mode]
-    except KeyError:
-        raise ValueError(f"unknown oracle mode {mode!r}") from None
-    return Outcome.P if test(position) else Outcome.N

@@ -1,12 +1,13 @@
 """Eventual periodicity of subtraction compounds, with finite-state certificates.
 
-For a subtraction set S compounded with a single-heap ruleset whose
+For a subtraction set S compounded with a single-heap ruleset r2 whose
 P-positions repeat with period k, the outcome at heap n is a function of the
 previous max(S) outcomes and n mod k.  That recursion walks a finite state
 space, so the first repeated lookback state proves the whole stream periodic
 forever; the same argument certifies Grundy streams with the larger value
 alphabet.  Minimal (preperiod, period) are then recovered by re-verification
-against the certified cycle, since a raw repetition need not be tight.
+against the certified cycle, since a raw repetition need not be tight.  Both
+streams are `ruleset_stream(push_ruleset(subtraction(S), r2), convention)`.
 
 Split-heap Grundy sequences (a move may split a heap in two) look back over
 the whole prefix, so they get a separate certifier: once values agree with
@@ -17,34 +18,21 @@ the loop.
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
-from .core import Convention, HorizonExceeded, Outcome, Ruleset
+from .core import Convention, HorizonExceeded, Ruleset
 from .heaps import subtraction, subtraction_set
 from .push import push_ruleset
 
 
 class PeriodCertificate(NamedTuple):
-    """Minimal eventual period of a stream, plus the object that proves it.
-
-    `state` and `state_indices` carry the repeated lookback state for
-    state-machine certificates (the raw stride `state_indices[1] -
-    state_indices[0]` is a multiple of `period` but need not equal it, and
-    need not be a multiple of the scan modulus either once minimized).
-    Split-heap certificates leave them None; `checked_to` is the last index
-    that participated in verification either way.
-    """
+    """Certified minimal eventual period of a stream: values[n + period] ==
+    values[n] for every n >= preperiod."""
 
     preperiod: int
     period: int
-    state: tuple | None = None
-    state_indices: tuple[int, int] | None = None
-    checked_to: int = 0
-
-    def to_dict(self) -> dict:
-        return {"preperiod": self.preperiod, "period": self.period}
 
 
 # -- streams ----------------------------------------------------------------
@@ -59,40 +47,6 @@ def ruleset_stream(r: Ruleset, convention: Convention | None) -> Iterator:
     if convention is None:
         return map(solver.grundy, heaps)
     return map(solver.outcome, heaps, repeat(convention))
-
-
-def outcome_stream(
-    s1: Iterable[int], r2: Ruleset, convention: Convention = Convention.NORMAL
-) -> Iterator[Outcome]:
-    """Outcomes of Subtraction(s1) compounded with r2, at heaps 0, 1, 2, ...,
-    read off the solver of ``push_ruleset(subtraction(s1), r2)``.
-
-    Position n is P exactly when the button answer (r2 at heap n, same
-    convention) is N and every subtraction move lands on an N heap.  Both
-    conventions share that recursion because the button keeps every
-    pre-button position non-terminal.
-    """
-    return ruleset_stream(push_ruleset(subtraction(s1), r2), convention)
-
-
-def outcome_sequence(
-    s1: Iterable[int],
-    r2: Ruleset,
-    length: int,
-    convention: Convention = Convention.NORMAL,
-) -> list[Outcome]:
-    return list(islice(outcome_stream(s1, r2, convention), length))
-
-
-def grundy_stream(s1: Iterable[int], r2: Ruleset) -> Iterator[int]:
-    """Grundy values of the compound at heaps 0, 1, 2, ...: the mex of the
-    subtraction options' values together with r2's value at the same heap,
-    read off the same solver as :func:`outcome_stream`."""
-    return ruleset_stream(push_ruleset(subtraction(s1), r2), None)
-
-
-def grundy_sequence(s1: Iterable[int], r2: Ruleset, length: int) -> list[int]:
-    return list(islice(grundy_stream(s1, r2), length))
 
 
 # -- certificates -------------------------------------------------------------
@@ -132,14 +86,12 @@ def certified_period(
                 ) from None
 
     seen: dict = {}
-    first = second = -1
-    state = None
     base = start + window
     for n in range(base, base + state_bound + 2):
         need(n - 1)
         probe = (tuple(values[n - window : n]), n % modulus)
         if probe in seen:
-            first, second, state = seen[probe], n, probe
+            first, second = seen[probe], n
             break
         seen[probe] = n
     else:
@@ -164,13 +116,7 @@ def certified_period(
     preperiod = cycle_start
     while preperiod > 0 and values[preperiod - 1] == values[preperiod - 1 + period]:
         preperiod -= 1
-    return PeriodCertificate(
-        preperiod=preperiod,
-        period=period,
-        state=state,
-        state_indices=(first, second),
-        checked_to=len(values) - 1,
-    )
+    return PeriodCertificate(preperiod, period)
 
 
 def certified_split_period(values: Sequence, max_take: int) -> PeriodCertificate:
@@ -194,9 +140,7 @@ def certified_split_period(values: Sequence, max_take: int) -> PeriodCertificate
                 n0 = n + 1
                 break
         if 2 * n0 + 2 * p + max_take <= horizon:
-            return PeriodCertificate(
-                preperiod=n0, period=p, checked_to=horizon - 1
-            )
+            return PeriodCertificate(n0, p)
     raise HorizonExceeded(
         f"horizon of {horizon} values is too short to certify any period"
     )
@@ -255,6 +199,9 @@ def _certify_compound(
     the scan start, which keeps the state recursion sound when r2 is not
     purely periodic.  A heap of either game has at most window + 1 options
     (its moves, and the button), so a Grundy value is one of window + 2.
+    Heap n of the compound is P exactly when r2 at heap n (the button answer)
+    is N and every subtraction move lands on an N heap, under either
+    convention, since the button keeps every pre-button position non-terminal.
     """
     r2 = subtraction(moves2)
 

@@ -14,14 +14,13 @@ import itertools
 import random
 
 from .arith import ceil_phi
-from .core import Outcome, Solver, sum_rulesets
+from .core import Outcome, Solver, solver_for, sum_rulesets
 from .cram import (
+    CRAM,
     CRAM_SEARCH,
     GridBoard,
     bluff_report,
     cram_closed_form,
-    cram_outcome,
-    empty_board,
     g007,
     g007_certificate,
     post_button_value,
@@ -216,7 +215,7 @@ def suite_subtraction_periods(
     tally = _Tally("subtraction-periods")
     tally.agree(
         itertools.product(range(1, grid_max + 1), repeat=2),
-        lambda k: interval_compound_certificate(*k).to_dict(),
+        lambda k: interval_compound_certificate(*k)._asdict(),
         lambda k: {"preperiod": 0, "period": predicted_period(*k)},
     )
 
@@ -286,9 +285,8 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
         for n in range(1, closed_form_area // m + 1)
         if cram_closed_form(m, n) is not None and (m, n) not in boards
     ]
-    tally.agree(
-        boards, lambda p: cram_outcome(empty_board(*p)), lambda p: cram_closed_form(*p)
-    )
+    fast = solver_for(CRAM)
+    tally.agree(boards, lambda p: fast.outcome(GridBoard(*p)), lambda p: cram_closed_form(*p))
 
     search = Solver(CRAM_SEARCH)
     tally.agree(

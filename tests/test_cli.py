@@ -104,7 +104,7 @@ def test_period_interval_form_follows_convention(capsys):
                 report = json.loads(out)
                 cert = periodicity.interval_compound_certificate(k1, k2, convention)
                 assert code == 0
-                assert report["result"]["certified"] == cert.to_dict(), (k1, k2, convention)
+                assert report["result"]["certified"] == cert._asdict(), (k1, k2, convention)
                 assert report["params"]["convention"] == convention.value
 
 
@@ -159,6 +159,30 @@ def test_verify_counterexamples_exit_three(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "push-lemma")
     assert code == 3
     assert json.loads(out)["result"]["counterexamples"] == 1
+
+
+def test_verify_mismatch_record_prints_outcomes_as_letters(capsys, monkeypatch):
+    # A closed form planted wrong at one position comes back through the CLI
+    # as one record whose two outcomes print as "P" and "N".
+    oracle = gamelab.verify.push_p_oracle
+    flip = {Outcome.P: Outcome.N, Outcome.N: Outcome.P}
+    planted = ("wythoff-nim", (2, 3))
+
+    def wrong_once(name, position):
+        want = oracle(name, position)
+        return flip[want] if (name, position) == planted else want
+
+    monkeypatch.setattr(gamelab.verify, "push_p_oracle", wrong_once)
+    code, out, _ = run_cli(capsys, "verify", "push-characterization")
+    assert code == 3
+    result = json.loads(out)["result"]
+    truth = oracle(*planted)
+    assert result["counterexamples"] == 1
+    assert result["reports"][0]["counterexamples"] == [
+        {"compound": "wythoff-nim", "position": [2, 3], "search": truth.value,
+         "closed_form": flip[truth].value}
+    ]
+    assert {truth.value, flip[truth].value} == {"P", "N"}
 
 
 # -- csv ------------------------------------------------------------------------
@@ -292,6 +316,9 @@ def test_ppos_unknown_oracle(capsys):
         (["verify", "no-such-suite"], 64),
         (["frobnicate"], 64),
         ([], 64),
+        (["ppos", "--compound", "nim-euclid", "--max", "-1"], 1),
+        (["period", "--s1", "1,2"], 64),
+        (["period", "--r2", "1,2"], 64),
     ],
 )
 def test_exit_codes(capsys, argv, code):
@@ -543,6 +570,19 @@ def test_ill_typed_cache_loads_nothing(capsys, tmp_path, argv, bad_pair):
     assert report["cache"]["loaded"] == 0 and report["cache"]["saved"] is True
     assert report["result"] == cold["result"]
     assert path.read_text() == saved
+
+
+@pytest.mark.parametrize("line", ['{"a":1}', "5"], ids=["object", "number"])
+def test_cache_line_not_a_list_loads_nothing(capsys, tmp_path, line):
+    path = tmp_path / "odd.cache"
+    argv = ("solve", "--ruleset", "nim", "--pos", "3,3", "--cache", str(path))
+    run_cli(capsys, *argv)
+    header = path.read_text().split("\n", 1)[0]
+    path.write_text(f"{header}\n{line}\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"] == {"outcome": "P"} and report["cache"]["loaded"] == 0
 
 
 def test_deeply_nested_cache_loads_nothing(capsys, tmp_path):

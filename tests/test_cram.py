@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from gamelab.core import Convention, Outcome, Solver
+from gamelab.core import Convention, Outcome, Solver, solver_for
 from gamelab.cram import (
     CRAM,
     CRAM_SEARCH,
@@ -19,8 +19,6 @@ from gamelab.cram import (
     bluff_report,
     canonical_board,
     cram_closed_form,
-    cram_outcome,
-    empty_board,
     from_record,
     g007,
     g007_certificate,
@@ -79,7 +77,7 @@ def test_g007_domain():
 
 
 def test_board_record_round_trip():
-    board = empty_board(3, 4)
+    board = GridBoard(3, 4)
     assert to_record(board) == "3 4 before 0x0"
     assert from_record("3 4 before 0x0") == board
     busy = PushPosition(Phase.AFTER, GridBoard(2, 3, 0b100101))
@@ -167,9 +165,9 @@ def test_outcome_invariant_under_flips():
 
 
 def test_legal_moves_button_last():
-    moves = legal_moves(empty_board(1, 3))
+    moves = legal_moves(GridBoard(1, 3))
     assert [to_record(p) for p in moves] == ["1 3 after 0x0"]
-    moves = legal_moves(empty_board(2, 1))
+    moves = legal_moves(GridBoard(2, 1))
     assert [to_record(p) for p in moves] == ["2 1 before 0x3", "2 1 after 0x0"]
     assert legal_moves(PushPosition(Phase.AFTER, GridBoard(2, 2, 0b1111))) == []
 
@@ -177,18 +175,18 @@ def test_legal_moves_button_last():
 def test_legal_moves_mirror_first():
     # Canonical children: the vertical placements that equal one of their own
     # flips (on 3x3, the middle column), then the rest, then the button child.
-    for board in (empty_board(3, 3), empty_board(4, 3), GridBoard(4, 3, 0b010_000_000_010)):
+    for board in (GridBoard(3, 3), GridBoard(4, 3), GridBoard(4, 3, 0b010_000_000_010)):
         moves = legal_moves(board)
         assert moves[-1] == PushPosition(Phase.AFTER, board)
         mirrored = [b.occupied in _flip_images(b) for b in moves[:-1]]
         assert mirrored == sorted(mirrored, reverse=True), board
         assert True in mirrored and False in mirrored, board
-    moves = legal_moves(empty_board(3, 3))
+    moves = legal_moves(GridBoard(3, 3))
     assert [b.occupied for b in moves[:-1]] == [0b010_010, 0b010_010, *[0b1_001] * 4]
 
 
 def test_legal_moves_by_phase():
-    board = empty_board(2, 2)
+    board = GridBoard(2, 2)
     before = legal_moves(board)
     assert before[-1] == PushPosition(Phase.AFTER, board)
     # The two vertical dominoes are flips of each other: one canonical child, twice.
@@ -226,6 +224,22 @@ def test_post_button_value_examples():
     assert post_button_value(GridBoard(1, 5, 0)) == g007(5) == 0
     assert post_button_value(GridBoard(1, 4, 0)) == 2
     assert post_button_value(GridBoard(2, 4, 0b0000_0001)) == g007(3) ^ g007(4)
+
+
+def test_post_button_value_takes_either_phase():
+    for board in (GridBoard(2, 3), GridBoard(1, 4), GridBoard(2, 4, 0b0000_0001)):
+        want = post_button_value(board)
+        for phase in Phase:
+            assert post_button_value(PushPosition(phase, board)) == want, (board, phase)
+
+
+def test_position_functions_reject_other_types():
+    # A bare key, a heap tuple, a wrapped key and a string phase are not
+    # Push Cram positions.
+    for bad in (5, (2, 3), PushPosition(Phase.AFTER, 5), PushPosition("after", GridBoard(1, 2))):
+        for function in (post_button_value, to_record):
+            with pytest.raises(ValueError, match="expected a GridBoard or a PushPosition"):
+                function(bad)
 
 
 def test_post_button_value_empty_boards():
@@ -266,7 +280,7 @@ def test_component_rulesets_take_before_phase_boards():
             assert horizontal.grundy(board) == post_button_value(board), (rows, cols, occ)
     for rows in range(1, 5):
         for cols in range(1, 5):
-            got = vertical.grundy(empty_board(rows, cols))
+            got = vertical.grundy(GridBoard(rows, cols))
             assert got == phase1_value(rows, cols), (rows, cols)
 
 
@@ -296,19 +310,20 @@ def test_component_rulesets_reject_after_phase_boards():
 
 
 def test_outcome_examples():
-    assert cram_outcome(empty_board(2, 5)) is N
-    assert cram_outcome(empty_board(3, 4)) is P
-    assert cram_outcome(empty_board(5, 4)) is P
-    assert cram_outcome(empty_board(1, 3)) is P
-    assert cram_outcome(empty_board(1, 2)) is P
-    assert cram_outcome(empty_board(3, 3)) is N
+    fast = solver_for(CRAM)
+    assert fast.outcome(GridBoard(2, 5)) is N
+    assert fast.outcome(GridBoard(3, 4)) is P
+    assert fast.outcome(GridBoard(5, 4)) is P
+    assert fast.outcome(GridBoard(1, 3)) is P
+    assert fast.outcome(GridBoard(1, 2)) is P
+    assert fast.outcome(GridBoard(3, 3)) is N
 
 
 def test_fast_solver_matches_pure_search():
     fast = Solver(CRAM)
     pure = Solver(CRAM_SEARCH)
     shapes = [(1, 5), (2, 3), (3, 3), (2, 5), (4, 3), (3, 4)]
-    boards = [empty_board(rows, cols) for rows, cols in shapes]
+    boards = [GridBoard(rows, cols) for rows, cols in shapes]
     boards.append(PushPosition(Phase.AFTER, GridBoard(1, 4)))
     for rows, cols, step in [(2, 3, 1), (3, 3, 5), (1, 7, 3), (3, 4, 37)]:
         for occ in range(0, 1 << (rows * cols), step):
@@ -322,14 +337,14 @@ def test_fast_solver_matches_pure_search():
 def test_mirror_first_ordering_keeps_search_small():
     # Without mirror-first ordering this search held 1,972,292 entries.
     solver = Solver(CRAM)
-    assert solver.outcome(empty_board(9, 4)) is cram_closed_form(9, 4) is P
+    assert solver.outcome(GridBoard(9, 4)) is cram_closed_form(9, 4) is P
     assert solver.entry_count() < 50_000
 
 
 def test_outcome_search_stores_no_button_winnable_board():
     # CRAM's leaf settles a pre-button board of strip-value xor 0 as N (the
     # button wins there), so only a root can enter the table with xor 0.
-    boards = [empty_board(3, 5), empty_board(5, 4), empty_board(3, 6), GridBoard(4, 4, 0x861)]
+    boards = [GridBoard(3, 5), GridBoard(5, 4), GridBoard(3, 6), GridBoard(4, 4, 0x861)]
     rng = random.Random(11)
     for rows, cols in [(3, 5), (4, 5), (5, 5)]:
         for _ in range(4):
@@ -355,7 +370,7 @@ def test_outcomes_match_naive_reference():
             if rows * cols > 12:
                 continue
             want = naive_outcome(cram_moves, cram_start(rows, cols), memo=memo)
-            assert fast.outcome(empty_board(rows, cols)).value == want, (rows, cols)
+            assert fast.outcome(GridBoard(rows, cols)).value == want, (rows, cols)
 
 
 def test_closed_form_examples():
@@ -378,7 +393,7 @@ def test_closed_form_matches_search_small():
         for cols in range(1, 6):
             want = cram_closed_form(rows, cols)
             if want is not None:
-                assert cram_outcome(empty_board(rows, cols)) is want, (rows, cols)
+                assert solver_for(CRAM).outcome(GridBoard(rows, cols)) is want, (rows, cols)
 
 
 def test_one_row_rule_matches_search():
@@ -387,11 +402,11 @@ def test_one_row_rule_matches_search():
     for n in range(1, 65):
         want = cram_closed_form(1, n)
         assert want is (P if strip_value(n) != 0 else N), n
-        assert fast.outcome(empty_board(1, n)) is want, n
+        assert fast.outcome(GridBoard(1, n)) is want, n
         # The pure search holds about 20 k entries at n = 24 and 946 k at
         # n = 32, growing about eightfold per four cells.
         if n <= 24:
-            assert pure.outcome(empty_board(1, n)) is want, n
+            assert pure.outcome(GridBoard(1, n)) is want, n
 
 
 # -- bluff audit ----------------------------------------------------------------
@@ -402,6 +417,8 @@ def test_phase1_value():
     assert phase1_value(3, 4) == 0  # even width: values pair off
     assert phase1_value(1, 7) == 0  # no room for a vertical domino
     assert phase1_value(4, 3) == g007(4) == 2
+    with pytest.raises(ValueError):
+        phase1_value(0, 3)
 
 
 def test_bluff_holds_on_three_row_odd_boards():

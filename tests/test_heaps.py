@@ -11,7 +11,6 @@ from gamelab.heaps import (
     RULESETS,
     WYTHOFF,
     ZERUCLID,
-    base_p_oracle,
     is_euclid_misere_p,
     is_euclid_p,
     is_nim_misere_p,
@@ -215,13 +214,11 @@ def test_euclid_closed_forms_reject_zero_heaps():
         is_euclid_misere_p((5, 0))
 
 
-def test_base_p_oracle_dispatch():
-    assert base_p_oracle("nim-normal", (3, 3)) is Outcome.P
-    assert base_p_oracle("nim-normal", (3, 4)) is Outcome.N
-    assert base_p_oracle("nim-misere", (1,)) is Outcome.P
-    assert base_p_oracle("wythoff", (1, 2)) is Outcome.P
-    assert base_p_oracle("euclid-normal", (2, 3)) is Outcome.P
-    assert base_p_oracle("euclid-misere", (1, 2)) is Outcome.P
-    assert base_p_oracle("euclid-misere", (1, 1)) is Outcome.N
-    with pytest.raises(ValueError):
-        base_p_oracle("no-such-mode", (1, 2))
+def test_base_oracles_dispatch():
+    assert BASE_ORACLES["nim-normal"]((3, 3)) is True
+    assert BASE_ORACLES["nim-normal"]((3, 4)) is False
+    assert BASE_ORACLES["nim-misere"]((1,)) is True
+    assert BASE_ORACLES["wythoff"]((1, 2)) is True
+    assert BASE_ORACLES["euclid-normal"]((2, 3)) is True
+    assert BASE_ORACLES["euclid-misere"]((1, 2)) is True
+    assert BASE_ORACLES["euclid-misere"]((1, 1)) is False

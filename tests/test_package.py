@@ -1,5 +1,5 @@
 """The top-level package: the README's Library example, the names it exports,
-and the names the benchmark's tracer rebinds."""
+and the names the benchmark's workloads call and its tracer rebinds."""
 
 import ast
 import importlib.util
@@ -85,6 +85,26 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_workloads_run_one_op_of_every_kind(monkeypatch, tmp_path):
+    """Each workload's ops call the package by name; once a name one of them
+    uses is gone, its op fails.  Runs the first op of every kind in round 0 of
+    seed 1 of each workload, through the benchmark's own op runner."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    worker = importlib.import_module("worker")
+    for name in workloads.WORKLOADS:
+        wl = workloads.make(name, tmp_path)
+        wl.setup()
+        first = {}
+        for op in wl.inputs(1, 0):
+            first.setdefault(op.kind, op)
+        errors: list = []
+        wl.start_round()
+        failed, _ = worker.run_ops(wl, list(first.values()), [], errors)
+        wl.finish_round()
+        assert (failed, errors) == (0, []), name
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():

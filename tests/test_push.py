@@ -35,6 +35,8 @@ def test_option_lists():
     assert NIM_EUCLID.options((0, 0)) == [PushPosition(Phase.AFTER, (0, 0))]
     with pytest.raises(ValueError):
         NIM_EUCLID.options(PushPosition(Phase.BEFORE, (0, 0)))
+    with pytest.raises(ValueError, match="bad phase"):
+        canonical(PushPosition("after", (1, 2)))  # a string, not a Phase
     opts = NIM_EUCLID.options((1, 1))
     assert opts[-1] == PushPosition(Phase.AFTER, (1, 1))
     assert set(opts) == {
