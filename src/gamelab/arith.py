@@ -93,13 +93,12 @@ def consecutive_fib_index(p: int, q: int) -> int | None:
         return None
     if p == 1:
         return {1: 1, 2: 2}.get(q)
-    table = _fib_table(limit_value=q)
+    table = _fib_table(limit_value=q)  # ends past q >= p, so the loop returns
     for k in range(3, len(table)):
         if table[k] == p:
             return k if k + 1 < len(table) and table[k + 1] == q else None
         if table[k] > p:
             return None
-    return None
 
 
 def zeckendorf(n: int) -> str:

@@ -28,8 +28,8 @@ button child is an N-position.
 `canonical_board` and `legal_moves` decode that kernel back to Push Cram
 positions: the canonical form, and the search's own option list (canonical
 children in the order above); `post_button_value` reads the strip-value xor
-of a position's board, in either phase.  `to_record` and `from_record` write
-and read a position as one text line.
+of a position's board, in either phase.  All three take a Push Cram position
+(a `GridBoard`, or a `PushPosition` over one) and refuse anything else.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -109,40 +109,13 @@ class GridBoard(_BoardFields):
             raise ValueError(f"occupancy out of range for {rows}x{cols}")
         return super().__new__(cls, rows, cols, occupied)
 
-    def bit(self, r: int, c: int) -> int:
-        return 1 << (r * self.cols + c)
 
-    def is_free(self, r: int, c: int) -> bool:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise ValueError(f"cell ({r}, {c}) outside {self.rows}x{self.cols}")
-        return not self.occupied & self.bit(r, c)
-
-
-def _phase_board(position) -> tuple[Phase, GridBoard]:
-    """The phase and board of a Push Cram position (a GridBoard, or a PushPosition over one)."""
+def _board(position) -> GridBoard:
+    """The board of a Push Cram position (a GridBoard, or a PushPosition over one)."""
     phase, board = position if position.__class__ is PushPosition else (Phase.BEFORE, position)
     if phase.__class__ is not Phase or board.__class__ is not GridBoard:
         raise ValueError(f"expected a GridBoard or a PushPosition over one, got {position!r}")
-    return phase, board
-
-
-def to_record(position) -> str:
-    """One-line text record of a Push Cram position: 'rows cols phase hex-occupancy'."""
-    phase, board = _phase_board(position)
-    return f"{board.rows} {board.cols} {phase.value} {board.occupied:#x}"
-
-
-def from_record(line: str):
-    """The Push Cram position of a `to_record` line."""
-    parts = line.split()
-    if len(parts) != 4:
-        raise ValueError(f"board record needs 4 fields, got {line!r}")
-    try:
-        phase = Phase(parts[2])
-    except ValueError:
-        raise ValueError(f"bad phase {parts[2]!r} in board record") from None
-    board = GridBoard(int(parts[0]), int(parts[1]), int(parts[3], 16))
-    return PushPosition(phase, board) if phase is Phase.AFTER else board
+    return board
 
 
 # -- the search kernel ----------------------------------------------------------
@@ -279,19 +252,21 @@ def _position(p):
 
 def canonical_board(position):
     """Least occupancy over the flip group {identity, h, v, hv}, in the same phase."""
+    _board(position)  # refuses anything but a Push Cram position
     return _position(CRAM.canonical(position))
 
 
 def legal_moves(position) -> list:
     """The search's own children of a Push Cram position: canonical, mirror
     replies first, the button child last, one entry per placement."""
+    _board(position)  # refuses anything but a Push Cram position
     return [_position(p) for p in CRAM.options(CRAM.canonical(position))]
 
 
 def post_button_value(position) -> int:
     """Grundy value of a Push Cram position's board after the button, in either
     phase: xor of strip values over the maximal free runs of each row."""
-    return _strip_xor(_key(_phase_board(position)[1]))
+    return _strip_xor(_key(_board(position)))
 
 
 # -- rulesets -----------------------------------------------------------------

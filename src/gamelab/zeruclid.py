@@ -48,16 +48,6 @@ class ResidueSurvey(NamedTuple):
     hits: tuple[tuple[int, int], ...]  # (c, c mod a), ascending in c
 
     @property
-    def band_hits(self) -> tuple[tuple[int, int], ...]:
-        """Hits where c is the largest coordinate (c >= b)."""
-        return tuple(h for h in self.hits if h[0] >= self.b)
-
-    @property
-    def off_band_hits(self) -> tuple[tuple[int, int], ...]:
-        """Hits with c < b, where sorting permutes c out of the last slot."""
-        return tuple(h for h in self.hits if h[0] < self.b)
-
-    @property
     def complete(self) -> bool:
         """Exactly a hits covering every residue class mod a."""
         return len(self.hits) == self.a and (

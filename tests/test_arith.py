@@ -104,6 +104,8 @@ def test_is_wythoff_pair_unordered():
         for b in range(40):
             expect = (a, b) in pairs or (b, a) in pairs
             assert is_wythoff_pair(a, b) == expect
+    with pytest.raises(ValueError):
+        is_wythoff_pair(-1, 2)
 
 
 def test_ratio_below_phi_examples():
@@ -148,6 +150,8 @@ def test_zeckendorf_examples():
     assert zeckendorf(4) == "101"
     assert zeckendorf(7) == "1010"
     assert zeckendorf(12) == "10101"
+    with pytest.raises(ValueError):
+        zeckendorf(-1)
 
 
 def test_zeckendorf_checks_its_remainder(monkeypatch):

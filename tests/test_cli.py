@@ -208,6 +208,23 @@ def test_heatmap_csv_exact(capsys):
     )
 
 
+def test_readme_cli_examples(capsys):
+    # Each `$ gamelab ...` example under README "Command line", run in-process:
+    # output must match byte for byte once `timing_ms` is masked.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", section, re.M | re.S):
+        for chunk in re.split(r"^\$ gamelab ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((command.split(), output.rstrip("\n") + "\n"))
+    assert len(examples) == 5
+    for argv, want in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert strip_timing(out) == strip_timing(want), argv
+
+
 def test_global_flags_leading_or_trailing(capsys):
     _, trailing, _ = run_cli(
         capsys, "ppos", "--compound", "wythoff", "--max", "8", "--format", "csv"

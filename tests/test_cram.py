@@ -19,13 +19,11 @@ from gamelab.cram import (
     bluff_report,
     canonical_board,
     cram_closed_form,
-    from_record,
     g007,
     g007_certificate,
     legal_moves,
     phase1_value,
     post_button_value,
-    to_record,
     _strip_xor,
 )
 
@@ -76,25 +74,6 @@ def test_g007_domain():
 # -- boards --------------------------------------------------------------------
 
 
-def test_board_record_round_trip():
-    board = GridBoard(3, 4)
-    assert to_record(board) == "3 4 before 0x0"
-    assert from_record("3 4 before 0x0") == board
-    busy = PushPosition(Phase.AFTER, GridBoard(2, 3, 0b100101))
-    assert to_record(busy) == "2 3 after 0x25"
-    assert from_record("2 3 after 0x25") == busy
-    for line in ("3 4 before 0x0", "2 3 after 0x25"):
-        assert to_record(from_record(line)) == line
-    assert to_record(PushPosition(Phase.BEFORE, board)) == "3 4 before 0x0"
-
-
-def test_board_record_errors():
-    with pytest.raises(ValueError):
-        from_record("3 4 before")
-    with pytest.raises(ValueError):
-        from_record("3 4 sideways 0x0")
-
-
 def test_board_validation():
     with pytest.raises(ValueError):
         GridBoard(0, 3)
@@ -107,14 +86,9 @@ def test_board_validation():
     assert GridBoard._fields == ("rows", "cols", "occupied")
     assert GridBoard(8, 8).rows == 8
     assert MAX_CELLS == 64
-
-
-def test_is_free():
-    board = GridBoard(2, 3, 0b000001)
-    assert not board.is_free(0, 0)
-    assert board.is_free(1, 2)
-    with pytest.raises(ValueError):
-        board.is_free(2, 0)
+    # An int key whose shape bits are zero names no board.
+    with pytest.raises(ValueError, match="no board shape 0x0"):
+        VERTICAL.canonical(5)
 
 
 def test_canonical_board_flip_invariance():
@@ -131,7 +105,7 @@ def _flip_images(board):
     """Occupancies of the h, v and hv flips of a board, cell by cell."""
     rows, cols = board.rows, board.cols
     cells = [
-        (r, c) for r in range(rows) for c in range(cols) if not board.is_free(r, c)
+        (r, c) for r in range(rows) for c in range(cols) if board.occupied >> (r * cols + c) & 1
     ]
     images = []
     for fh, fv in ((True, False), (False, True), (True, True)):
@@ -165,10 +139,9 @@ def test_outcome_invariant_under_flips():
 
 
 def test_legal_moves_button_last():
-    moves = legal_moves(GridBoard(1, 3))
-    assert [to_record(p) for p in moves] == ["1 3 after 0x0"]
+    assert legal_moves(GridBoard(1, 3)) == [PushPosition(Phase.AFTER, GridBoard(1, 3))]
     moves = legal_moves(GridBoard(2, 1))
-    assert [to_record(p) for p in moves] == ["2 1 before 0x3", "2 1 after 0x0"]
+    assert moves == [GridBoard(2, 1, 0b11), PushPosition(Phase.AFTER, GridBoard(2, 1))]
     assert legal_moves(PushPosition(Phase.AFTER, GridBoard(2, 2, 0b1111))) == []
 
 
@@ -234,10 +207,12 @@ def test_post_button_value_takes_either_phase():
 
 
 def test_position_functions_reject_other_types():
-    # A bare key, a heap tuple, a wrapped key and a string phase are not
-    # Push Cram positions.
-    for bad in (5, (2, 3), PushPosition(Phase.AFTER, 5), PushPosition("after", GridBoard(1, 2))):
-        for function in (post_button_value, to_record):
+    # A bare int, a heap tuple, a well-formed int key, a wrapped int and a
+    # string phase are not Push Cram positions.
+    key = CRAM.canonical(GridBoard(2, 3))
+    bads = (5, (2, 3), key, PushPosition(Phase.AFTER, 5), PushPosition("after", GridBoard(1, 2)))
+    for bad in bads:
+        for function in (post_button_value, legal_moves, canonical_board):
             with pytest.raises(ValueError, match="expected a GridBoard or a PushPosition"):
                 function(bad)
 

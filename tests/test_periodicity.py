@@ -140,6 +140,8 @@ def test_certified_period_bad_args():
         certified_period(itertools.repeat(0), window=1, modulus=0, state_bound=4)
     with pytest.raises(ValueError):
         certified_period(itertools.repeat(0), window=1, modulus=1, state_bound=0)
+    with pytest.raises(ValueError):
+        certified_split_period([0, 1], 0)
 
 
 def test_predicted_period_examples():
