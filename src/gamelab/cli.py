@@ -171,12 +171,13 @@ def _grundy_value(raw) -> int:
     return raw
 
 
-def _cache_load(path: str, table: dict, tag: str) -> int:
+def _cache_load(path: str, table: dict, tag: str, room: int) -> int:
     """Merge a cache file into a live memo table; 0 on any fault or mismatch.
 
     Keys are ints (Push Cram), int lists (heap tuples) or ["after", either];
     values are "P"/"N" or, in the Grundy table, non-negative ints.  Classes
-    are checked exactly, so no bool or float gets in.
+    are checked exactly, so no bool or float gets in.  A file of more than
+    `room` records, the entries the memo cap leaves free, is a fault too.
     """
     value_of = _grundy_value if tag.endswith("|grundy") else _OUTCOMES.__getitem__
     records = {}
@@ -192,6 +193,8 @@ def _cache_load(path: str, table: dict, tag: str) -> int:
                     raise TypeError("a cache line must be a list of pairs")
                 for key, value in batch:
                     records[_cache_key(key)] = value_of(value)
+                if len(records) > room:
+                    return 0
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return 0  # missing, corrupt or foreign file: run cold rather than fail
     table.update(records)
@@ -220,7 +223,8 @@ def _with_cache(args, solver: Solver, key: Convention | None, compute):
         return result, solver.cache_stats()
     table = solver.table(key)
     tag = _cache_tag(solver, key)
-    loaded = _cache_load(args.cache, table, tag)
+    room = solver.memo_cap - solver.entry_count()
+    loaded = _cache_load(args.cache, table, tag, room)
     result = compute()
     saved = _cache_save(args.cache, table, tag)
     stats = solver.cache_stats()

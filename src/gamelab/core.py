@@ -140,8 +140,9 @@ class Solver:
     Keeps one memo table per value kind, keyed by canonical position: the
     Grundy table under None and an outcome table under each convention.  The
     tables together hold at most `memo_cap` entries, read from
-    GAMELAB_MEMO_CAP when the solver is made; exceeding the cap raises
-    :class:`MemoLimitExceeded`.
+    GAMELAB_MEMO_CAP when the solver is made: a search raises
+    :class:`MemoLimitExceeded` in place of the store that would pass the cap,
+    keeping every entry stored before it.
 
     Recursion is run on an explicit stack, so option chains far deeper than
     the interpreter's recursion limit are fine.
@@ -171,13 +172,6 @@ class Solver:
         ruleset or the results are garbage.
         """
         return self._memos[convention]
-
-    def _guard_cap(self) -> None:
-        if self.entry_count() >= self.memo_cap:
-            raise MemoLimitExceeded(
-                f"{self.ruleset.name}: memo tables hit the cap of "
-                f"{self.memo_cap} entries (set {MEMO_CAP_ENV} to raise it)"
-            )
 
     # -- evaluation -------------------------------------------------------
 
@@ -221,6 +215,9 @@ class Solver:
         leaf = None if convention is Convention.MISERE else rules.leaf
         decisive = None if grundy else Outcome.P
         terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
+        # The memo may grow to `room` entries before the tables hold the cap.
+        room = self.memo_cap - self.entry_count() + len(memo)
+        value = None
         if leaf is not None:
             value = leaf(root)
             if value.__class__ is Outcome:
@@ -228,10 +225,6 @@ class Solver:
                     value = None  # an outcome is no Grundy value: search
             elif value is not None and not grundy:
                 value = Outcome.P if value == 0 else Outcome.N
-            if value is not None:
-                memo[root] = value
-                return value
-        cap_step = 0
         # Frame layout: [position, option iterator or None, option values
         # seen, option being searched].
         stack = [[root, None, None, None]]
@@ -239,8 +232,9 @@ class Solver:
         while stack:
             frame = stack[-1]
             pos, opts, seen, child = frame
-            value = None
-            if opts is None:
+            if value is not None:
+                pass  # only a root that is a leaf arrives settled
+            elif opts is None:
                 opts = frame[1] = iter(options(pos))
                 seen = frame[2] = set()
             else:
@@ -288,14 +282,15 @@ class Solver:
                                 f"{rules.name}: Grundy value {value} at {pos!r} "
                                 f"exceeds {GRUNDY_VALUE_BITS} bits"
                             )
-            cap_step += 1
-            if cap_step >= 1024:
-                cap_step = 0
-                self._guard_cap()
+            if len(memo) >= room:
+                raise MemoLimitExceeded(
+                    f"{rules.name}: memo tables hit the cap of "
+                    f"{self.memo_cap} entries (set {MEMO_CAP_ENV} to raise it)"
+                )
             memo[pos] = value
             stack.pop()
             on_path.discard(pos)
-        self._guard_cap()
+            value = None
         return memo[root]
 
 

@@ -11,13 +11,12 @@ remainder first in Euclid.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
-from operator import xor
 from typing import Iterable
 
 from .arith import consecutive_fib_index, is_wythoff_pair, ratio_below_phi
-from .core import Ruleset
+from .core import Ruleset, sum_grundy
 
 
 def _check_heaps(position, arity: int | None = None) -> tuple:
@@ -147,7 +146,7 @@ RULESETS = {
 def is_nim_p(position: tuple) -> bool:
     """Normal-play Nim: P iff the xor of the heaps is zero."""
     _check_heaps(position)
-    return reduce(xor, position, 0) == 0
+    return sum_grundy(position) == 0
 
 
 def is_nim_misere_p(position: tuple) -> bool:
@@ -156,7 +155,7 @@ def is_nim_misere_p(position: tuple) -> bool:
     one-token heaps is odd."""
     _check_heaps(position)
     if any(h > 1 for h in position):
-        return reduce(xor, position, 0) == 0
+        return sum_grundy(position) == 0
     return sum(position) % 2 == 1
 
 

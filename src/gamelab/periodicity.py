@@ -66,10 +66,11 @@ def certified_period(
     start + window; by pigeonhole a repeat must appear within `state_bound`
     + 1 probes (the size of the state space), else the assumption is broken
     and :class:`HorizonExceeded` is raised.  The repeat proves the stream
-    periodic forever from the first repeated index minus the window;
-    minimality is then recovered by checking divisors of the raw stride
-    against one full certified cycle and walking the start of periodicity
-    backwards.
+    periodic forever from the first repeated index minus the window.  The
+    least divisor of the raw stride under which the stream agrees with its
+    shift over one full certified cycle is the minimal period, and the start
+    of that agreement, walked backwards, the preperiod; if no divisor agrees,
+    the assumption is broken and :class:`HorizonExceeded` is raised.
     """
     if window < 0 or modulus < 1 or state_bound < 1 or start < 0:
         raise ValueError("window >= 0, modulus >= 1, state_bound >= 1, start >= 0")
@@ -102,21 +103,18 @@ def certified_period(
 
     raw_period = second - first
     cycle_start = first - window  # >= start; periodic from here on, certified
-    period = raw_period
+    cycle_end = cycle_start + raw_period
     for d in range(1, raw_period + 1):
         if raw_period % d:
             continue
-        need(cycle_start + raw_period + d - 1)
-        if all(
-            values[m + d] == values[m]
-            for m in range(cycle_start, cycle_start + raw_period)
-        ):
-            period = d
-            break
-    preperiod = cycle_start
-    while preperiod > 0 and values[preperiod - 1] == values[preperiod - 1 + period]:
-        preperiod -= 1
-    return PeriodCertificate(preperiod, period)
+        need(cycle_end + d - 1)
+        preperiod = _tail_start(values, d, cycle_end)
+        if preperiod <= cycle_start:
+            return PeriodCertificate(preperiod, d)
+    raise HorizonExceeded(
+        f"the repeat at {first} and {second} is no period of the stream; "
+        "window/modulus do not match the stream's recursion"
+    )
 
 
 def certified_split_period(values: Sequence, max_take: int) -> PeriodCertificate:
@@ -134,16 +132,20 @@ def certified_split_period(values: Sequence, max_take: int) -> PeriodCertificate
         raise ValueError(f"max_take must be >= 1, got {max_take}")
     horizon = len(values)
     for p in range(1, horizon):
-        n0 = 0
-        for n in range(horizon - p - 1, -1, -1):
-            if values[n] != values[n + p]:
-                n0 = n + 1
-                break
+        n0 = _tail_start(values, p, horizon - p)
         if 2 * n0 + 2 * p + max_take <= horizon:
             return PeriodCertificate(n0, p)
     raise HorizonExceeded(
         f"horizon of {horizon} values is too short to certify any period"
     )
+
+
+def _tail_start(values: Sequence, p: int, stop: int) -> int:
+    """Least n0 with values[n] == values[n + p] for every n0 <= n < stop."""
+    n0 = stop
+    while n0 > 0 and values[n0 - 1] == values[n0 - 1 + p]:
+        n0 -= 1
+    return n0
 
 
 # -- interval compounds -------------------------------------------------------

@@ -241,30 +241,13 @@ def suite_subtraction_periods(
     return tally.report()
 
 
-def _column_patterns(rows: int) -> list[int]:
-    """Row-masks a single column can reach with disjoint vertical dominoes."""
-    patterns: list[int] = []
-
-    def extend(i: int, mask: int) -> None:
-        if i >= rows:
-            patterns.append(mask)
-            return
-        extend(i + 1, mask)
-        if i + 1 < rows:
-            extend(i + 2, mask | (1 << i) | (1 << (i + 1)))
-
-    extend(0, 0)
-    return patterns
-
-
 def _vertical_occupancies(rows: int, cols: int):
-    for combo in itertools.product(_column_patterns(rows), repeat=cols):
-        occ = 0
-        for c, pattern in enumerate(combo):
-            for r in range(rows):
-                if pattern >> r & 1:
-                    occ |= 1 << (r * cols + c)
-        yield occ
+    """Occupancies of a rows x cols board that disjoint vertical dominoes
+    fill, each once: `tops | tops << cols` for each set of domino top cells
+    with no top directly above another."""
+    for tops in range(1 << (rows - 1) * cols):
+        if not tops & tops >> cols:
+            yield tops | tops << cols
 
 
 def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -> dict:

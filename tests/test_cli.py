@@ -602,6 +602,29 @@ def test_cache_line_not_a_list_loads_nothing(capsys, tmp_path, line):
     assert report["result"] == {"outcome": "P"} and report["cache"]["loaded"] == 0
 
 
+@pytest.mark.parametrize(
+    "cap,pos,code",
+    [("5", "9,9,9", 2), ("50", "3,3", 0)],
+    ids=["query-past-cap", "query-under-cap"],
+)
+def test_cache_past_memo_cap_loads_nothing(capsys, tmp_path, monkeypatch, cap, pos, code):
+    # A file of more records than the cap leaves room for is a fault like any
+    # other: it loads nothing, and the search runs under the cap.
+    path = tmp_path / "nim.cache"
+    run_cli(capsys, "solve", "--ruleset", "nim", "--pos", "9,9,9", "--cache", str(path))
+    saved = path.read_text()
+    assert sum(len(json.loads(line)) for line in saved.splitlines()[1:]) == 220
+    monkeypatch.setenv("GAMELAB_MEMO_CAP", cap)
+    got, out, err = run_cli(capsys, "solve", "--ruleset", "nim", "--pos", pos, "--cache", str(path))
+    assert got == code, err
+    if code:
+        assert "resource limit" in err and path.read_text() == saved
+    else:
+        report = json.loads(out)
+        assert report["result"] == {"outcome": "P"}
+        assert report["cache"]["loaded"] == 0 and report["cache"]["entries"] == 10
+
+
 def test_deeply_nested_cache_loads_nothing(capsys, tmp_path):
     """A 100,000-deep array is refused before the JSON decoder sees it.
 

@@ -221,6 +221,19 @@ def test_solver_reads_env_cap(monkeypatch):
     solver = Solver(NIM)
     with pytest.raises(MemoLimitExceeded):
         solver.grundy((40, 41, 42))
+    assert solver.entry_count() <= solver.memo_cap
+    # The cap is exact: the search stops at the store that would pass it.
+    solver = Solver(NIM)
+    with pytest.raises(MemoLimitExceeded):
+        solver.outcome((5, 6, 7))
+    assert solver.entry_count() == solver.memo_cap == 16
+    # A root that is a leaf is stored too, so never into a full table.
+    monkeypatch.setenv("GAMELAB_MEMO_CAP", "1")
+    solver = Solver(Ruleset("nim-xor", NIM.options, canonical=NIM.canonical, leaf=sum_grundy))
+    assert solver.grundy((1, 2)) == 3
+    with pytest.raises(MemoLimitExceeded):
+        solver.grundy((1, 3))
+    assert solver.entry_count() == 1
 
 
 def test_cycle_detection():

@@ -1,6 +1,7 @@
 """Outcome/Grundy streams of interval compounds and period certificates."""
 
 import itertools
+import random
 from functools import partial
 
 import pytest
@@ -131,6 +132,10 @@ def test_certified_period_horizon_errors():
     with pytest.raises(HorizonExceeded):
         # Counter stream never repeats within the bound.
         certified_period(itertools.count(), window=1, modulus=1, state_bound=40)
+    with pytest.raises(HorizonExceeded):
+        # The state (0, 0) repeats at 2 and 5, but 3 is no period: element n
+        # is no function of the two before it, as the window claims.
+        certified_period([0, 0, 1, 0, 0, 2] + [7] * 20, window=2, modulus=1, state_bound=9)
 
 
 def test_certified_period_bad_args():
@@ -213,6 +218,28 @@ def test_certified_split_period_on_strip_values():
     for n in range(cert.preperiod, 300 - 34):
         assert values[n] == values[n + 34]
     assert values[52] != values[52 + 34]
+
+
+def _naive_period(values, settled):
+    """Least (preperiod, period) read off `values` by brute force, given that
+    values[settled:] spans at least two periods."""
+    for p in itertools.count(1):
+        for n0 in range(settled + 1):
+            if all(values[n] == values[n + p] for n in range(n0, len(values) - p)):
+                return n0, p
+
+
+def test_certifiers_match_naive_finder():
+    rng = random.Random(20171)
+    for _ in range(300):
+        prefix = [rng.randrange(3) for _ in range(rng.randrange(8))]
+        cycle = [rng.randrange(3) for _ in range(rng.randrange(1, 8))]
+        values = prefix + cycle * (len(prefix) + 3)
+        want = _naive_period(values, len(prefix))
+        window = len(prefix) + len(cycle)
+        cert = certified_period(iter(values), window, modulus=1, state_bound=window)
+        assert cert == want, (prefix, cycle)
+        assert certified_split_period(values, max_take=1) == want, (prefix, cycle)
 
 
 def test_certified_split_period_horizon():

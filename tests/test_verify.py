@@ -94,3 +94,25 @@ def test_planted_closed_form_error_is_the_one_counterexample(monkeypatch):
     assert report["counterexamples"] == [
         {"compound": "wythoff-nim", "position": (2, 3), "search": truth, "closed_form": flip[truth]}
     ]
+
+
+def test_vertical_occupancies_are_every_vertical_filling():
+    # The closure of the empty board under "add any free vertical domino",
+    # with cell (r, c) at bit r * cols + c, must come out once per board.
+    for rows in range(1, 13):
+        for cols in range(1, 12 // rows + 1):
+            dominoes = [
+                (1 << (r * cols + c)) | (1 << ((r + 1) * cols + c))
+                for r in range(rows - 1)
+                for c in range(cols)
+            ]
+            closure, frontier = {0}, [0]
+            while frontier:
+                occ = frontier.pop()
+                for d in dominoes:
+                    if not occ & d and occ | d not in closure:
+                        closure.add(occ | d)
+                        frontier.append(occ | d)
+            got = list(verify._vertical_occupancies(rows, cols))
+            assert len(got) == len(set(got)), (rows, cols)
+            assert set(got) == closure, (rows, cols)
