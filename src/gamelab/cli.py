@@ -104,19 +104,11 @@ def _game(args) -> tuple[Solver, object, dict]:
     # Every compound is a two-heap game.
     heaps = _check_heaps(_int_list(args.pos, "position"), arity=2 if args.compound else None)
     if args.compound:
-        phase = Phase.AFTER if args.phase == "after" else Phase.BEFORE
-        ruleset, position = compound_ruleset(args.compound), PushPosition(phase, heaps)
-    elif args.phase is not None:
-        raise UsageError("--phase applies only to --compound games")
+        ruleset = compound_ruleset(args.compound)
     else:
-        ruleset, position = _ruleset_from_string(args.ruleset), heaps
-    params = {
-        "ruleset": args.ruleset,
-        "compound": args.compound,
-        "pos": list(heaps),
-        "phase": (args.phase or "before") if args.compound else None,
-    }
-    return Solver(ruleset), position, params
+        ruleset = _ruleset_from_string(args.ruleset)
+    params = {"ruleset": args.ruleset, "compound": args.compound, "pos": list(heaps)}
+    return Solver(ruleset), heaps, params
 
 
 # -- cache file (best-effort, version-tagged, type-checked, ignored on fault) --
@@ -422,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         which.add_argument("--ruleset", help="nim, wythoff, euclid, zeruclid, or subtraction:LIST")
         which.add_argument("--compound", choices=tuple(COMPOUNDS))
         p.add_argument("--pos", required=True, help="comma-separated heap sizes")
-        p.add_argument("--phase", choices=("before", "after"), default=None)
 
     p = sub.add_parser("solve", parents=[shared], help="outcome of one position")
     add_game_flags(p)

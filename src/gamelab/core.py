@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import os
-import weakref
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import attrgetter, xor
 from typing import Callable, Hashable, Iterable
 
@@ -20,8 +19,6 @@ Position = Hashable
 
 MEMO_CAP_ENV = "GAMELAB_MEMO_CAP"
 DEFAULT_MEMO_CAP = 100_000_000
-
-GRUNDY_VALUE_BITS = 32
 
 
 class Outcome(enum.Enum):
@@ -44,9 +41,6 @@ class Convention(enum.Enum):
     MISERE = "misere"
 
     __hash__ = object.__hash__  # see Outcome
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class MemoLimitExceeded(Exception):
@@ -114,7 +108,7 @@ class Ruleset:
     for after-button positions.
     """
 
-    __slots__ = ("name", "_options", "canonical", "leaf", "__weakref__")
+    __slots__ = ("name", "_options", "canonical", "leaf")
 
     def __init__(
         self,
@@ -277,11 +271,6 @@ class Solver:
                         value = Outcome.P if seen else terminal
                     else:
                         value = mex(seen)
-                        if value >= 1 << GRUNDY_VALUE_BITS:
-                            raise ValueError(
-                                f"{rules.name}: Grundy value {value} at {pos!r} "
-                                f"exceeds {GRUNDY_VALUE_BITS} bits"
-                            )
             if len(memo) >= room:
                 raise MemoLimitExceeded(
                     f"{rules.name}: memo tables hit the cap of "
@@ -296,15 +285,10 @@ class Solver:
 
 # -- shared per-ruleset solvers -------------------------------------------
 
-_SOLVERS: "weakref.WeakKeyDictionary[Ruleset, Solver]" = weakref.WeakKeyDictionary()
-
-
+@lru_cache(maxsize=None)
 def solver_for(ruleset: Ruleset) -> Solver:
-    """The shared memoizing solver for a ruleset instance."""
-    solver = _SOLVERS.get(ruleset)
-    if solver is None:
-        solver = _SOLVERS[ruleset] = Solver(ruleset)
-    return solver
+    """The shared memoizing solver for a ruleset instance, kept for the process."""
+    return Solver(ruleset)
 
 
 def sum_rulesets(r1: Ruleset, r2: Ruleset) -> Ruleset:

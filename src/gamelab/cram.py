@@ -101,6 +101,8 @@ class GridBoard(_BoardFields):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, occupied: int = 0):
+        if any(f.__class__ is not int for f in (rows, cols, occupied)):
+            raise ValueError(f"board fields must be ints, got {(rows, cols, occupied)!r}")
         if rows < 1 or cols < 1:
             raise ValueError(f"board must be at least 1x1, got {rows}x{cols}")
         if rows * cols > MAX_CELLS:

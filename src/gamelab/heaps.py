@@ -105,11 +105,11 @@ def zeruclid_options(position: tuple) -> list[tuple]:
 
 def subtraction_set(values: Iterable[int]) -> tuple[int, ...]:
     """The distinct moves of a subtraction set in ascending order, checked
-    non-empty and positive."""
-    vals = tuple(sorted(set(values)))
-    if not vals or vals[0] < 1:
-        raise ValueError(f"subtraction set must be non-empty and positive, got {vals}")
-    return vals
+    non-empty, positive ints (no bools or floats)."""
+    vals = tuple(values)
+    if not vals or any(v.__class__ is not int or v < 1 for v in vals):
+        raise ValueError(f"subtraction set must be non-empty positive ints, got {vals}")
+    return tuple(sorted(set(vals)))
 
 
 def subtraction(values: Iterable[int]) -> Ruleset:

@@ -50,9 +50,6 @@ class Phase(enum.Enum):
 
     __hash__ = object.__hash__  # identity hash, as for core.Outcome
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class PushPosition(NamedTuple):
     phase: Phase

@@ -8,7 +8,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -42,7 +41,7 @@ def test_solve_report_shape_and_fragment(capsys):
     assert '"result":{"outcome":"P"}' in out
     assert out.startswith(
         '{"command":"solve","params":{"ruleset":"nim","compound":null,'
-        '"pos":[3,3],"phase":null,"convention":"normal"},'
+        '"pos":[3,3],"convention":"normal"},'
         '"result":{"outcome":"P"},"timing_ms":'
     )
     report = json.loads(out)
@@ -65,11 +64,6 @@ def test_solve_misere_and_compound(capsys):
         capsys, "solve", "--compound", "nim-euclid", "--pos", "7,12"
     )
     assert code == 0 and '"outcome":"P"' in out
-    assert '"phase":"before"' in out
-    code, out, _ = run_cli(
-        capsys, "solve", "--compound", "nim-euclid", "--pos", "7,12", "--phase", "after"
-    )
-    assert code == 0 and '"outcome":"N"' in out and '"phase":"after"' in out
 
 
 def test_solve_subtraction_ruleset_string(capsys):
@@ -336,6 +330,7 @@ def test_ppos_unknown_oracle(capsys):
         (["ppos", "--compound", "nim-euclid", "--max", "-1"], 1),
         (["period", "--s1", "1,2"], 64),
         (["period", "--r2", "1,2"], 64),
+        (["solve", "--compound", "nim-euclid", "--pos", "7,12", "--phase", "after"], 64),
     ],
 )
 def test_exit_codes(capsys, argv, code):
@@ -349,7 +344,7 @@ def test_exit_codes(capsys, argv, code):
     "argv",
     [
         ("solve", "--compound", "nim-euclid", "--pos", "3,4,5"),
-        ("grundy", "--compound", "wythoff-nim", "--pos", "2,2,9", "--phase", "after"),
+        ("grundy", "--compound", "wythoff-nim", "--pos", "2,2,9"),
     ],
 )
 def test_compound_root_must_be_two_heaps(capsys, argv):
@@ -556,7 +551,7 @@ def test_pickled_cache_never_runs_code(capsys, tmp_path):
 
 NIM_SOLVE = ("solve", "--ruleset", "nim", "--pos", "5,6")
 NIM_GRUNDY = ("grundy", "--ruleset", "nim", "--pos", "5,6")
-AFTER_SOLVE = ("solve", "--compound", "nim-euclid", "--pos", "7,12", "--phase", "after")
+AFTER_SOLVE = ("solve", "--compound", "nim-euclid", "--pos", "7,12")
 
 
 @pytest.mark.parametrize(
@@ -678,6 +673,8 @@ def test_every_key_shape_round_trips(capsys, tmp_path, argv):
     assert warm["cache"]["loaded"] == cold["cache"]["entries"] > 0
     # Everything before the timing field (command, params, result) is byte-identical.
     assert warm_out.split('"timing_ms"')[0] == cold_out.split('"timing_ms"')[0]
+    if argv[: len(AFTER_SOLVE)] == AFTER_SOLVE:
+        assert '"after"' in path.read_text()  # after-button keys are ["after", heaps]
 
 
 def test_cram_bluff_cache_round_trip(capsys, tmp_path):
@@ -696,7 +693,7 @@ def test_cram_bluff_cache_round_trip(capsys, tmp_path):
     assert warm["result"] == cold["result"]
 
 
-def test_cram_cache_holds_only_this_run(capsys, tmp_path, monkeypatch):
+def test_cram_cache_holds_only_this_run(capsys, tmp_path):
     path = tmp_path / "run.cache"
     for argv in (
         ("cram", "--rows", "3", "--cols", "6"),
@@ -705,7 +702,7 @@ def test_cram_cache_holds_only_this_run(capsys, tmp_path, monkeypatch):
     ):
         argv = (*argv, "--cache", str(path))
         # The lone run starts with empty shared solvers, as in a fresh process.
-        monkeypatch.setattr(core, "_SOLVERS", weakref.WeakKeyDictionary())
+        core.solver_for.cache_clear()
         _, out, _ = run_cli(capsys, *argv)
         alone = json.loads(out)["cache"]["entries"]
         path.unlink()

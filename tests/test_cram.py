@@ -91,6 +91,15 @@ def test_board_validation():
         VERTICAL.canonical(5)
 
 
+@pytest.mark.parametrize(
+    "fields", [(2, 3, 1.0), (True, 3), (2, 3.0), (2, 3, False), ("2", 3)],
+    ids=["float-occupied", "bool-rows", "float-cols", "bool-occupied", "string-rows"],
+)
+def test_board_fields_are_ints(fields):
+    with pytest.raises(ValueError, match="board fields must be ints"):
+        GridBoard(*fields)
+
+
 def test_canonical_board_flip_invariance():
     board = GridBoard(2, 3, 0b001001)  # cells (0,0) and (1,0)
     flipped = GridBoard(2, 3, 0b100100)  # cells (0,2) and (1,2)

@@ -18,6 +18,7 @@ from gamelab.heaps import (
     is_wythoff_p,
     subtraction,
 )
+from gamelab.periodicity import compound_certificates
 from gamelab.push import Phase, PushPosition, compound_ruleset
 
 from reference import (
@@ -128,6 +129,19 @@ def test_subtraction_ruleset():
     assert subtraction((2, 1)) is s12
     for n in range(10):
         assert set(s12.options((n,))) == set(subtraction_moves((1, 2), (n,)))
+
+
+@pytest.mark.parametrize(
+    "moves", [[True], [1, True], [1.5], [2.0, 1], ["1"]],
+    ids=["bool", "int-and-bool", "float", "integral-float", "string"],
+)
+def test_subtraction_set_takes_only_ints(moves):
+    with pytest.raises(ValueError, match="positive ints"):
+        subtraction(moves)
+    with pytest.raises(ValueError, match="positive ints"):
+        compound_certificates(moves, [1])
+    # A refused set leaves no alias behind in the constructor's cache.
+    assert subtraction([1]).name == "subtraction(1)"
 
 
 def test_heap_validation():

@@ -1,5 +1,7 @@
 """Two-phase compounds: options, equivalence lemma, closed-form P-sets."""
 
+import itertools
+
 import pytest
 
 from gamelab.arith import fib
@@ -70,6 +72,19 @@ def test_before_wrapper_and_bare_root_share_one_entry():
         assert solver.outcome(PushPosition(Phase.BEFORE, g)) is bare, ruleset
         assert solver.entry_count() == entries, ruleset
         assert ruleset.canonical(g) in solver.table(Convention.NORMAL), ruleset
+
+
+def test_after_button_plays_as_the_second_ruleset():
+    # After the button only the second ruleset moves, so the CLI asks an
+    # after-button question of r2 itself (`solve --ruleset euclid ...`).
+    for name, (_, r2) in COMPOUNDS.items():
+        compound, inner = Solver(compound_ruleset(name)), Solver(r2)
+        for a, b in itertools.product(range(13), repeat=2):
+            after = PushPosition(Phase.AFTER, (a, b))
+            assert compound.grundy(after) == inner.grundy((a, b)), (name, a, b)
+            for convention in Convention:
+                got = compound.outcome(after, convention)
+                assert got is inner.outcome((a, b), convention), (name, a, b, convention)
 
 
 def test_push_passes_the_second_leaf_through():
