@@ -363,7 +363,7 @@ def _render_csv(command: str, result: dict) -> str:
         lines = ["a,b"] + [f"{a},{b}" for a, b in result["pairs"]]
     else:  # heatmap; `main` rejects csv for every other command
         grid = result["grid"]
-        width = len(grid[0]) if grid else 0
+        width = len(grid[0])
         lines = ["a\\b," + ",".join(str(b) for b in range(width))]
         for a, row in enumerate(grid):
             lines.append(f"{a}," + ",".join(str(v) for v in row))
@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of impartial heap games and push-the-button compounds.",
     )
     _add_global_flags(parser, trailing=False)
-    shared = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(shared, trailing=True)
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(flags, trailing=True)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_game_flags(p):
@@ -415,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
         which.add_argument("--compound", choices=tuple(COMPOUNDS))
         p.add_argument("--pos", required=True, help="comma-separated heap sizes")
 
-    p = sub.add_parser("solve", parents=[shared], help="outcome of one position")
+    p = sub.add_parser("solve", parents=[flags], help="outcome of one position")
     add_game_flags(p)
     p.add_argument("--convention", choices=("normal", "misere"), default="normal")
 
-    p = sub.add_parser("grundy", parents=[shared], help="Grundy value of one position (normal play)")
+    p = sub.add_parser("grundy", parents=[flags], help="Grundy value of one position (normal play)")
     add_game_flags(p)
 
-    p = sub.add_parser("ppos", parents=[shared], help="closed-form P-position pairs up to a bound")
+    p = sub.add_parser("ppos", parents=[flags], help="closed-form P-position pairs up to a bound")
     p.add_argument(
         "--compound",
         required=True,
@@ -431,22 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max", type=int, required=True)
 
-    p = sub.add_parser("heatmap", parents=[shared], help="Grundy grid of three-heap positions (1,a,b)")
+    p = sub.add_parser("heatmap", parents=[flags], help="Grundy grid of three-heap positions (1,a,b)")
     p.add_argument("--max", type=int, required=True)
 
-    p = sub.add_parser("period", parents=[shared], help="periodicity certificates for subtraction compounds")
+    p = sub.add_parser("period", parents=[flags], help="periodicity certificates for subtraction compounds")
     p.add_argument("--k1", type=int)
     p.add_argument("--k2", type=int)
     p.add_argument("--s1", metavar="LIST")
     p.add_argument("--r2", metavar="LIST")
     p.add_argument("--convention", choices=("normal", "misere"), default="normal")
 
-    p = sub.add_parser("cram", parents=[shared], help="outcome of an empty board, or its bluff report")
+    p = sub.add_parser("cram", parents=[flags], help="outcome of an empty board, or its bluff report")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--bluff", action="store_true")
 
-    p = sub.add_parser("verify", parents=[shared], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[flags], help="run a verification suite")
     p.add_argument("suite", help="a suite name, or all")
 
     return parser

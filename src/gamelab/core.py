@@ -79,6 +79,10 @@ def sum_grundy(values: Iterable[int]) -> int:
     return reduce(xor, values, 0)
 
 
+def _identity(position: Position) -> Position:
+    return position
+
+
 class Ruleset:
     """A finite acyclic impartial ruleset.
 
@@ -86,13 +90,14 @@ class Ruleset:
     list in a deterministic order (a read-only property: the callable itself,
     so a call costs no extra frame).  An outcome search stops at the first P
     child and descends into the first option that the memo and `leaf` leave
-    open, so the order lists the likeliest P children first.  `canonical`,
-    when given, maps a position to a fixed representative of its symmetry
-    class (e.g. the sorted heap tuple for heap-symmetric games), and `options`
-    of a canonical position must list canonical children: solvers canonicalize
-    only the root they are handed, memoize on canonical representatives and
-    never reorder anything themselves.  A child may repeat in the list (two
-    moves may land in one symmetry class); the search just meets it again.
+    open, so the order lists the likeliest P children first.  `canonical`
+    maps a position to a fixed representative of its symmetry class (the
+    identity by default; the sorted heap tuple for heap-symmetric games), and
+    `options` of a canonical position must list canonical children: solvers
+    canonicalize only the root they are handed, memoize on canonical
+    representatives and never reorder anything themselves.  A child may repeat
+    in the list (two moves may land in one symmetry class); the search just
+    meets it again.
 
     `leaf`, when given, tells what a closed form knows of a canonical
     position, in one of three answers: an int, its normal-play Grundy value;
@@ -114,7 +119,7 @@ class Ruleset:
         self,
         name: str,
         options: Callable[[Position], list],
-        canonical: Callable[[Position], Position] | None = None,
+        canonical: Callable[[Position], Position] = _identity,
         leaf: Callable[[Position], int | Outcome | None] | None = None,
     ):
         self.name = name
@@ -173,18 +178,16 @@ class Solver:
         if convention.__class__ is not Convention:
             # None would index the Grundy table and return an int.
             raise ValueError(f"convention must be a Convention, got {convention!r}")
-        canon = self.ruleset.canonical
         memo = self._memos[convention]
-        root = canon(position) if canon else position
+        root = self.ruleset.canonical(position)
         hit = memo.get(root)
         if hit is not None:
             return hit
         return self._search(root, memo, convention)
 
     def grundy(self, position: Position) -> int:
-        canon = self.ruleset.canonical
         memo = self._memos[None]
-        root = canon(position) if canon else position
+        root = self.ruleset.canonical(position)
         hit = memo.get(root)
         if hit is not None:
             return hit
@@ -301,11 +304,9 @@ def sum_rulesets(r1: Ruleset, r2: Ruleset) -> Ruleset:
         return opts
 
     c1, c2 = r1.canonical, r2.canonical
-    canonical = None
-    if c1 or c2:
 
-        def canonical(position):
-            a, b = position
-            return (c1(a) if c1 else a, c2(b) if c2 else b)
+    def canonical(position):
+        a, b = position
+        return (c1(a), c2(b))
 
     return Ruleset(f"{r1.name}+{r2.name}", options, canonical)

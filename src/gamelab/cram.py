@@ -25,11 +25,11 @@ the rest; the button child follows them.  Before the button, the compound's
 leaf reads a board whose strip-value xor is 0 as N, since pressing the
 button wins there, so normal-play outcome searches expand only boards whose
 button child is an N-position.
-`canonical_board` and `legal_moves` decode that kernel back to Push Cram
-positions: the canonical form, and the search's own option list (canonical
-children in the order above); `post_button_value` reads the strip-value xor
-of a position's board, in either phase.  All three take a Push Cram position
-(a `GridBoard`, or a `PushPosition` over one) and refuse anything else.
+`legal_moves` decodes that kernel's option list back to Push Cram positions
+(canonical children in the order above); `post_button_value` reads the
+strip-value xor of a position's board, in either phase.  Both take a Push
+Cram position (a `GridBoard`, or a `PushPosition` over one) and refuse
+anything else.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -252,12 +252,6 @@ def _position(p):
     return GridBoard(shape >> 8, shape & 0xFF, p & _OCC_MASK)
 
 
-def canonical_board(position):
-    """Least occupancy over the flip group {identity, h, v, hv}, in the same phase."""
-    _board(position)  # refuses anything but a Push Cram position
-    return _position(CRAM.canonical(position))
-
-
 def legal_moves(position) -> list:
     """The search's own children of a Push Cram position: canonical, mirror
     replies first, the button child last, one entry per placement."""
@@ -332,8 +326,7 @@ def phase1_value(rows: int, cols: int) -> int:
     Vertical placements never cross columns, so the vertical-only game is a
     disjoint sum of cols strips of height rows, each with value g007(rows).
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"board must be at least 1x1, got {rows}x{cols}")
+    GridBoard(rows, cols)  # validates the shape
     return g007(rows) if cols % 2 else 0
 
 

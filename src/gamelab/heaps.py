@@ -20,17 +20,20 @@ from .core import Ruleset, sum_grundy
 
 
 def _check_heaps(position, arity: int | None = None) -> tuple:
-    if not isinstance(position, tuple):
+    if position.__class__ is not tuple:
         raise ValueError(f"heap position must be a tuple, got {position!r}")
     if arity is not None and len(position) != arity:
         raise ValueError(f"expected {arity} heaps, got {position!r}")
     for h in position:
-        if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+        if h.__class__ is not int or h < 0:
             raise ValueError(f"heap sizes must be non-negative ints, got {position!r}")
     return position
 
 
 def _sorted_tuple(position: tuple) -> tuple:
+    """The heap-symmetric rulesets' canonical form: a plain tuple, sorted."""
+    if position.__class__ is not tuple:
+        raise ValueError(f"heap position must be a tuple, got {position!r}")
     return tuple(sorted(position))
 
 

@@ -61,8 +61,9 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     """The compound r1 then r2.  Before the button a position is r1's own
     position g (r1's positions are never PushPositions); the button wraps it
     as PushPosition(Phase.AFTER, g) and r2 moves inside that wrapper.  A root
-    PushPosition(Phase.BEFORE, g) is read as g.  Children are canonical only
-    when r1 and r2 share one `canonical`; otherwise that just unwraps roots.
+    PushPosition(Phase.BEFORE, g) is read as g.  Each phase takes its own
+    ruleset's canonical form: r1's for g, r2's for the g inside the wrapper.
+    Children are canonical when r1 and r2 agree on that form.
 
     Options before the button list r1's moves, then the button child.  When
     r2 has a `leaf`, the compound's leaf is r2's after the button, and before
@@ -71,7 +72,7 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     button child of a node it does expand never wins where r2's leaf scores
     it."""
     options1, options2 = r1.options, r2.options
-    shared = r1.canonical if r1.canonical is r2.canonical else None
+    canonical1, canonical2 = r1.canonical, r2.canonical
     after = Phase.AFTER
     new = tuple.__new__  # skips NamedTuple's Python-level __new__ per child
 
@@ -89,10 +90,10 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
         if p.__class__ is PushPosition:
             phase, p = p
             if phase is after:
-                return new(PushPosition, (after, shared(p) if shared else p))
+                return new(PushPosition, (after, canonical2(p)))
             if phase is not Phase.BEFORE:
                 raise ValueError(f"bad phase {phase!r}")
-        return shared(p) if shared else p
+        return canonical1(p)
 
     leaf2 = r2.leaf
     win = Outcome.N

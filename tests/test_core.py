@@ -197,6 +197,12 @@ def test_leaf_positions_are_never_stored():
     assert any(key.__class__ is PushPosition for key in solver.table(Convention.MISERE))
 
 
+def test_canonical_defaults_to_the_identity():
+    ruleset = Ruleset("r", nim_moves)
+    for position in ((3, 1), [2], object()):
+        assert ruleset.canonical(position) is position
+
+
 def test_memo_cap_from_env(monkeypatch):
     monkeypatch.setenv("GAMELAB_MEMO_CAP", "12345")
     assert memo_cap_from_env() == 12345

@@ -17,7 +17,6 @@ from gamelab.cram import (
     GridBoard,
     Phase,
     bluff_report,
-    canonical_board,
     cram_closed_form,
     g007,
     g007_certificate,
@@ -103,11 +102,12 @@ def test_board_fields_are_ints(fields):
 def test_canonical_board_flip_invariance():
     board = GridBoard(2, 3, 0b001001)  # cells (0,0) and (1,0)
     flipped = GridBoard(2, 3, 0b100100)  # cells (0,2) and (1,2)
-    assert canonical_board(board) == canonical_board(flipped)
-    assert canonical_board(board).occupied == 0b001001
+    # A key is its empty board's key (the shape) OR the least occupancy.
+    key = CRAM.canonical(GridBoard(2, 3)) | 0b001001
+    assert CRAM.canonical(board) == CRAM.canonical(flipped) == key
     # Canonicalization never changes shape or phase.
     after = PushPosition(Phase.AFTER, flipped)
-    assert canonical_board(after) == PushPosition(Phase.AFTER, board)
+    assert CRAM.canonical(after) == PushPosition(Phase.AFTER, key)
 
 
 def _flip_images(board):
@@ -131,9 +131,10 @@ def test_canonical_board_agrees_across_flips():
         for _ in range(20):
             occ = rng.getrandbits(rows * cols)
             images = [occ, *_flip_images(GridBoard(rows, cols, occ))]
+            key = CRAM.canonical(GridBoard(rows, cols)) | min(images)
             for phase in Phase:
-                canon = {canonical_board(_at(GridBoard(rows, cols, image), phase)) for image in images}
-                assert canon == {_at(GridBoard(rows, cols, min(images)), phase)}, (rows, cols, occ)
+                keys = {CRAM.canonical(_at(GridBoard(rows, cols, image), phase)) for image in images}
+                assert keys == {_at(key, phase)}, (rows, cols, occ)
 
 
 def test_outcome_invariant_under_flips():
@@ -221,7 +222,7 @@ def test_position_functions_reject_other_types():
     key = CRAM.canonical(GridBoard(2, 3))
     bads = (5, (2, 3), key, PushPosition(Phase.AFTER, 5), PushPosition("after", GridBoard(1, 2)))
     for bad in bads:
-        for function in (post_button_value, legal_moves, canonical_board):
+        for function in (post_button_value, legal_moves):
             with pytest.raises(ValueError, match="expected a GridBoard or a PushPosition"):
                 function(bad)
 
@@ -403,6 +404,22 @@ def test_phase1_value():
     assert phase1_value(4, 3) == g007(4) == 2
     with pytest.raises(ValueError):
         phase1_value(0, 3)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda: phase1_value(True, 3),
+        lambda: phase1_value(100, 1),
+        lambda: phase1_value(2.0, 3),
+        lambda: bluff_report(2.0, 3),
+    ],
+    ids=["bool-rows", "too-many-cells", "float-rows", "bluff-float-rows"],
+)
+def test_phase1_value_takes_only_boards(ask):
+    # The same rule as GridBoard's: bluff_report refuses what phase1_value does.
+    with pytest.raises(ValueError):
+        ask()
 
 
 def test_bluff_holds_on_three_row_odd_boards():

@@ -18,6 +18,7 @@ from gamelab.heaps import (
     is_wythoff_p,
     subtraction,
 )
+from gamelab.cram import GridBoard
 from gamelab.periodicity import compound_certificates
 from gamelab.push import Phase, PushPosition, compound_ruleset
 
@@ -159,6 +160,22 @@ def test_heap_validation():
         subtraction(())
     with pytest.raises(ValueError):
         subtraction((0, 1))
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda: Solver(NIM).outcome(GridBoard(1, 2, 0)),
+        lambda: Solver(NIM).outcome([1, 2]),
+        lambda: Solver(ZERUCLID).grundy(GridBoard(1, 2, 0)),
+        lambda: is_nim_p(GridBoard(2, 3, 5)),
+    ],
+    ids=["nim-root-board", "nim-root-list", "zeruclid-root-board", "nim-oracle-board"],
+)
+def test_heap_positions_are_plain_tuples(ask):
+    # A tuple subclass or a list sorts like a heap tuple, but is none.
+    with pytest.raises(ValueError, match="heap position must be a tuple"):
+        ask()
 
 
 def test_euclid_small_outcomes():

@@ -74,6 +74,14 @@ def test_before_wrapper_and_bare_root_share_one_entry():
         assert ruleset.canonical(g) in solver.table(Convention.NORMAL), ruleset
 
 
+def test_each_phase_takes_its_own_canonical_form():
+    # After the button a position is NIM's, so both heap orders are one root.
+    solver = Solver(push_ruleset(subtraction((1, 2)), NIM))
+    first = solver.outcome(PushPosition(Phase.AFTER, (4, 3)))
+    assert solver.outcome(PushPosition(Phase.AFTER, (3, 4))) is first
+    assert solver.entry_count() == 11
+
+
 def test_after_button_plays_as_the_second_ruleset():
     # After the button only the second ruleset moves, so the CLI asks an
     # after-button question of r2 itself (`solve --ruleset euclid ...`).
