@@ -92,12 +92,13 @@ class Ruleset:
     child and descends into the first option that the memo and `leaf` leave
     open, so the order lists the likeliest P children first.  `canonical`
     maps a position to a fixed representative of its symmetry class (the
-    identity by default; the sorted heap tuple for heap-symmetric games), and
-    `options` of a canonical position must list canonical children: solvers
-    canonicalize only the root they are handed, memoize on canonical
-    representatives and never reorder anything themselves.  A child may repeat
-    in the list (two moves may land in one symmetry class); the search just
-    meets it again.
+    identity by default; the sorted heap tuple for heap-symmetric games) and
+    is where a root is checked: it refuses anything that is no position of
+    the ruleset.  `options` takes a canonical position as it is and lists
+    canonical children: solvers canonicalize only the root they are handed,
+    memoize on canonical representatives and never reorder anything
+    themselves.  A child may repeat in the list (two moves may land in one
+    symmetry class); the search just meets it again.
 
     `leaf`, when given, tells what a closed form knows of a canonical
     position, in one of three answers: an int, its normal-play Grundy value;

@@ -158,8 +158,6 @@ class _Shape:
     __slots__ = ("row_mask", "row_shifts", "reverse", "strip", "vertical", "horizontal")
 
     def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1 or rows * cols > MAX_CELLS:
-            raise ValueError(f"no board shape {rows}x{cols}")
         self.row_mask = (1 << cols) - 1
         # (offset of row r, offset of its mirror row) for the flips.
         self.row_shifts = tuple((r * cols, (rows - 1 - r) * cols) for r in range(rows))
@@ -219,14 +217,15 @@ def _placements(orientation: str):
 
 
 def _canonical(position):
-    """Key of the least occupancy over the flip group {identity, h, v, hv}; a
-    GridBoard maps to its key first."""
-    if position.__class__ is GridBoard:
-        position = _key(position)
-    elif position.__class__ is PushPosition:
+    """Key of the least occupancy over the flip group {identity, h, v, hv}, and
+    the check of a root: an int key is decoded to the GridBoard it names."""
+    if position.__class__ is int:
+        position = _position(position)  # refuses a key that names no board
+    if position.__class__ is not GridBoard:
         raise ValueError(f"domino rulesets take keys and GridBoards, got {position!r}; use CRAM")
-    occ = position & _OCC_MASK
-    return position ^ occ | min(occ, *_SHAPES[position >> _SHAPE_SHIFT].images(occ))
+    key = _key(position)
+    occ = key & _OCC_MASK
+    return key ^ occ | min(occ, *_SHAPES[key >> _SHAPE_SHIFT].images(occ))
 
 
 def _strip_xor(key: int) -> int:

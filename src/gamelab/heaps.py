@@ -2,11 +2,11 @@
 
 Positions are tuples of non-negative heap sizes.  Every option function
 returns a duplicate-free list in a deterministic order.  Nim, Wythoff, Euclid
-and Zeruclid are symmetric under permuting heaps: their solvers memoize on
-the sorted tuple, and their option functions list sorted children of any
-input, likeliest P children first (see `core.Ruleset`): the largest heap
-first in Nim and Zeruclid, the diagonal moves first in Wythoff, the smallest
-remainder first in Euclid.
+and Zeruclid are symmetric under permuting heaps: their canonical form checks
+a root's heaps and sorts them, and their option functions take a sorted tuple
+and list sorted children, likeliest P children first (see `core.Ruleset`): the
+largest heap first in Nim and Zeruclid, the diagonal moves first in Wythoff,
+the smallest remainder first in Euclid.  Subtraction's form only checks.
 """
 
 from __future__ import annotations
@@ -31,16 +31,12 @@ def _check_heaps(position, arity: int | None = None) -> tuple:
 
 
 def _sorted_tuple(position: tuple) -> tuple:
-    """The heap-symmetric rulesets' canonical form: a plain tuple, sorted."""
-    if position.__class__ is not tuple:
-        raise ValueError(f"heap position must be a tuple, got {position!r}")
-    return tuple(sorted(position))
+    """The heap-symmetric rulesets' canonical form: checked heaps, sorted."""
+    return tuple(sorted(_check_heaps(position)))
 
 
-# The option functions of the heap-symmetric rulesets sort their input once
-# and list sorted children without duplicates, likeliest P children first:
-# Nim and Zeruclid lower the largest heap first, by the smallest take first;
-# Wythoff lists its diagonal moves first, Euclid the smallest remainder first.
+# Options of the heap-symmetric rulesets take the sorted tuple that the
+# canonical form made as it is, and list sorted children without duplicates.
 
 
 def _lowerings(s: tuple, step: int) -> list[tuple]:
@@ -69,12 +65,12 @@ def _lowerings(s: tuple, step: int) -> list[tuple]:
 
 def nim_options(position: tuple) -> list[tuple]:
     """Take any positive number of tokens from one heap."""
-    return _lowerings(_sorted_tuple(_check_heaps(position)), 1)
+    return _lowerings(position, 1)
 
 
 def wythoff_options(position: tuple) -> list[tuple]:
     """Nim moves on two heaps, plus taking the same positive amount from both."""
-    a, b = _sorted_tuple(_check_heaps(position, arity=2))
+    a, b = position
     opts = [(a - k, b - k) for k in range(1, a + 1)]
     if a < b:  # the Nim move to (2a - b, a) is the diagonal move that takes b - a
         opts += [(a, y) for y in range(b - 1, a - 1, -1)]
@@ -88,7 +84,7 @@ def euclid_options(position: tuple) -> list[tuple]:
     Equal positive heaps and (0, 0) are terminal; a pair with exactly one
     empty heap has the single escape move to (0, 0).
     """
-    a, b = _sorted_tuple(_check_heaps(position, arity=2))
+    a, b = position
     if a == 0:
         return [] if b == 0 else [(0, 0)]
     if a == b:
@@ -101,9 +97,8 @@ def euclid_options(position: tuple) -> list[tuple]:
 def zeruclid_options(position: tuple) -> list[tuple]:
     """Remove a positive multiple of the smallest non-zero heap from any heap,
     keeping every heap non-negative.  All heaps empty is terminal."""
-    s = _sorted_tuple(_check_heaps(position))
-    m = next((h for h in s if h), 0)
-    return _lowerings(s, m) if m else []
+    m = next((h for h in position if h), 0)
+    return _lowerings(position, m) if m else []
 
 
 def subtraction_set(values: Iterable[int]) -> tuple[int, ...]:
@@ -123,11 +118,11 @@ def subtraction(values: Iterable[int]) -> Ruleset:
 @lru_cache(maxsize=None)
 def _subtraction_cached(vals: tuple[int, ...]) -> Ruleset:
     def options(position):
-        (n,) = _check_heaps(position, arity=1)
+        (n,) = position
         return [(n - v,) for v in vals if v <= n]
 
     name = "subtraction({})".format(",".join(map(str, vals)))
-    return Ruleset(name, options)
+    return Ruleset(name, options, canonical=_check_heaps)
 
 
 NIM = Ruleset("nim", nim_options, canonical=_sorted_tuple)
@@ -148,16 +143,14 @@ RULESETS = {
 
 def is_nim_p(position: tuple) -> bool:
     """Normal-play Nim: P iff the xor of the heaps is zero."""
-    _check_heaps(position)
-    return sum_grundy(position) == 0
+    return sum_grundy(_check_heaps(position)) == 0
 
 
 def is_nim_misere_p(position: tuple) -> bool:
     """Misere Nim: play normal Nim until only heaps of one remain, then flip
     parity — P iff some heap exceeds 1 and the xor is 0, or the count of
     one-token heaps is odd."""
-    _check_heaps(position)
-    if any(h > 1 for h in position):
+    if any(h > 1 for h in _check_heaps(position)):
         return sum_grundy(position) == 0
     return sum(position) % 2 == 1
 

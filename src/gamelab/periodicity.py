@@ -172,6 +172,8 @@ def interval_compound_certificate(
     """Certified outcome periodicity of the {1..k1} then {1..k2} compound."""
     if k1 < 1 or k2 < 1:
         raise ValueError(f"need k1, k2 >= 1, got ({k1}, {k2})")
+    if convention.__class__ is not Convention:  # None would certify Grundy values
+        raise ValueError(f"convention must be a Convention, got {convention!r}")
     return _certify_compound(range(1, k1 + 1), range(1, k2 + 1), convention)[1]
 
 
@@ -181,6 +183,8 @@ def compound_certificates(
     """Outcome certificates ("r2", "outcome") for Subtraction(s1) then
     Subtraction(s2), and under normal play Grundy ones ("r2_values",
     "values") too; see :func:`_certify_compound`."""
+    if convention.__class__ is not Convention:
+        raise ValueError(f"convention must be a Convention, got {convention!r}")
     moves1, moves2 = subtraction_set(s1), subtraction_set(s2)
     r2_cert, out_cert = _certify_compound(moves1, moves2, convention)
     result = {"r2": r2_cert, "outcome": out_cert}

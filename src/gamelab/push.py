@@ -62,8 +62,8 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     position g (r1's positions are never PushPositions); the button wraps it
     as PushPosition(Phase.AFTER, g) and r2 moves inside that wrapper.  A root
     PushPosition(Phase.BEFORE, g) is read as g.  Each phase takes its own
-    ruleset's canonical form: r1's for g, r2's for the g inside the wrapper.
-    Children are canonical when r1 and r2 agree on that form.
+    ruleset's canonical form: r1's for g, r2's for the g inside the wrapper:
+    the button child puts g in r2's form unless r1 and r2 share one form.
 
     Options before the button list r1's moves, then the button child.  When
     r2 has a `leaf`, the compound's leaf is r2's after the button, and before
@@ -75,12 +75,15 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     canonical1, canonical2 = r1.canonical, r2.canonical
     after = Phase.AFTER
     new = tuple.__new__  # skips NamedTuple's Python-level __new__ per child
+    # Picked once: a shared form leaves the button child's g as it is.
+    button = None if canonical1 is canonical2 else canonical2
 
     def options(p):
         if p.__class__ is not PushPosition:
             # Button child last: where r2's leaf scores it, `leaf` below has
             # already settled every position the button wins.
-            return [*options1(p), new(PushPosition, (after, p))]
+            g = p if button is None else button(p)
+            return [*options1(p), new(PushPosition, (after, g))]
         phase, g = p
         if phase is not after:
             raise ValueError(f"{p!r} is not a canonical compound position")
@@ -103,7 +106,7 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
             return leaf2(p[1])
         # Before the button: pressing it moves to a P-position when r2's
         # value there is 0, so p is N; anything else needs a search.
-        return win if leaf2(p) == 0 else None
+        return win if leaf2(p if button is None else button(p)) == 0 else None
 
     return Ruleset(f"push({r1.name},{r2.name})", options, canonical, leaf if leaf2 else None)
 

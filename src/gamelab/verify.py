@@ -112,7 +112,7 @@ def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> 
             itertools.product(range(structural_limit + 1), repeat=2),
             lambda p: solver.outcome(p) is Outcome.P,
             lambda p: inner.outcome(p) is Outcome.N
-            and all(solver.outcome(q) is Outcome.N for q in r1.options(p)),
+            and all(solver.outcome(q) is Outcome.N for q in r1.options(r1.canonical(p))),
             compound=name,
             test="structural",
         )

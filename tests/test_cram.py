@@ -86,8 +86,27 @@ def test_board_validation():
     assert GridBoard(8, 8).rows == 8
     assert MAX_CELLS == 64
     # An int key whose shape bits are zero names no board.
-    with pytest.raises(ValueError, match="no board shape 0x0"):
+    with pytest.raises(ValueError, match="board must be at least 1x1, got 0x0"):
         VERTICAL.canonical(5)
+
+
+#: A 2x2 shape key with occupancy bit 10 set: no 2x2 board has that cell.
+_OFF_BOARD_KEY = ((2 << 8 | 2) << 64) | 1 << 10
+
+
+@pytest.mark.parametrize(
+    "ruleset, root",
+    [
+        (VERTICAL, _OFF_BOARD_KEY),
+        (HORIZONTAL, _OFF_BOARD_KEY),
+        (CRAM, _OFF_BOARD_KEY),
+        (CRAM, PushPosition(Phase.AFTER, _OFF_BOARD_KEY)),
+    ],
+    ids=["vertical", "horizontal", "cram", "cram-after"],
+)
+def test_int_key_roots_are_checked(ruleset, root):
+    with pytest.raises(ValueError, match="occupancy out of range for 2x2"):
+        Solver(ruleset).outcome(root)
 
 
 @pytest.mark.parametrize(

@@ -49,18 +49,23 @@ def canonical_set(ruleset, moves):
     return {ruleset.canonical(m) for m in moves}
 
 
+def canonical_options(ruleset, position):
+    """The options of `position`, asked as a solver asks them: of its canonical form."""
+    return ruleset.options(ruleset.canonical(position))
+
+
 def test_option_sets_match_reference():
     for a in range(7):
         for b in range(7):
-            assert set(NIM.options((a, b))) == canonical_set(NIM, nim_moves((a, b)))
-            assert set(WYTHOFF.options((a, b))) == canonical_set(
+            assert set(canonical_options(NIM, (a, b))) == canonical_set(NIM, nim_moves((a, b)))
+            assert set(canonical_options(WYTHOFF, (a, b))) == canonical_set(
                 WYTHOFF, wythoff_moves((a, b))
             )
-            assert set(EUCLID.options((a, b))) == canonical_set(
+            assert set(canonical_options(EUCLID, (a, b))) == canonical_set(
                 EUCLID, euclid_moves((a, b))
             )
     for heaps in [(0, 0, 0), (1, 2, 3), (2, 3, 5), (4, 4, 4), (0, 2, 6)]:
-        assert set(ZERUCLID.options(heaps)) == canonical_set(
+        assert set(canonical_options(ZERUCLID, heaps)) == canonical_set(
             ZERUCLID, zeruclid_moves(heaps)
         )
 
@@ -69,7 +74,7 @@ def test_options_are_duplicate_free():
     for ruleset in (NIM, WYTHOFF, EUCLID, ZERUCLID):
         for a in range(6):
             for b in range(6):
-                opts = ruleset.options((a, b))
+                opts = canonical_options(ruleset, (a, b))
                 assert len(opts) == len(set(opts))
     # Repeated and zero heaps: equal heaps give equal children, so each
     # distinct heap value is lowered once, from any input order.
@@ -77,7 +82,7 @@ def test_options_are_duplicate_free():
         for ruleset, moves in ((NIM, nim_moves), (ZERUCLID, zeruclid_moves)):
             want = canonical_set(ruleset, moves(heaps))
             for position in (heaps, heaps[::-1]):
-                opts = ruleset.options(position)
+                opts = canonical_options(ruleset, position)
                 assert all(child == tuple(sorted(child)) for child in opts), heaps
                 assert len(opts) == len(set(opts)), heaps
                 assert set(opts) == want, heaps
@@ -100,16 +105,18 @@ def test_heap_move_order_keeps_search_small():
     assert band.entry_count() < 20_500
     for a in range(1, 12):
         for b in range(a, 20):
-            assert WYTHOFF.options((a, b))[0] == (a - 1, b - 1)
-            assert WYTHOFF.options((b, a))[0] == (a - 1, b - 1)
+            assert canonical_options(WYTHOFF, (a, b))[0] == (a - 1, b - 1)
+            assert canonical_options(WYTHOFF, (b, a))[0] == (a - 1, b - 1)
 
 
 def test_euclid_option_examples():
-    assert EUCLID.options((3, 3)) == []
-    assert EUCLID.options((0, 0)) == []
-    assert set(EUCLID.options((0, 5))) == {(0, 0)}
-    assert set(EUCLID.options((5, 0))) == {(0, 0)}
-    assert set(EUCLID.options((3, 10))) == canonical_set(EUCLID, {(3, 7), (3, 4), (3, 1)})
+    assert canonical_options(EUCLID, (3, 3)) == []
+    assert canonical_options(EUCLID, (0, 0)) == []
+    assert set(canonical_options(EUCLID, (0, 5))) == {(0, 0)}
+    assert set(canonical_options(EUCLID, (5, 0))) == {(0, 0)}
+    assert set(canonical_options(EUCLID, (3, 10))) == canonical_set(
+        EUCLID, {(3, 7), (3, 4), (3, 1)}
+    )
 
 
 def test_zeruclid_option_example():
@@ -146,16 +153,17 @@ def test_subtraction_set_takes_only_ints(moves):
 
 
 def test_heap_validation():
+    # A root is checked where it enters the search, by the canonical form.
     with pytest.raises(ValueError):
-        NIM.options((1, -2))
+        Solver(NIM).outcome((1, -2))
     with pytest.raises(ValueError):
-        NIM.options([1, 2])
+        Solver(NIM).outcome([1, 2])
     with pytest.raises(ValueError):
-        NIM.options((True, 2))
+        Solver(NIM).outcome((True, 2))
     with pytest.raises(ValueError):
-        WYTHOFF.options((1, 2, 3))
+        Solver(WYTHOFF).outcome((1, 2, 3))
     with pytest.raises(ValueError):
-        EUCLID.options((4,))
+        Solver(EUCLID).outcome((4,))
     with pytest.raises(ValueError):
         subtraction(())
     with pytest.raises(ValueError):
@@ -176,6 +184,30 @@ def test_heap_positions_are_plain_tuples(ask):
     # A tuple subclass or a list sorts like a heap tuple, but is none.
     with pytest.raises(ValueError, match="heap position must be a tuple"):
         ask()
+
+
+@pytest.mark.parametrize(
+    "ruleset, stored, bad",
+    [
+        *(
+            (ruleset, (1, 2), bad)
+            for ruleset in (NIM, WYTHOFF, EUCLID, ZERUCLID)
+            for bad in ((True, 2), (1.0, 2), (2, -1))
+        ),
+        *((subtraction((1, 2)), (1,), bad) for bad in ((True,), (1.0,))),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else getattr(v, "name", None),
+)
+def test_heap_roots_are_refused_whatever_the_memo_holds(ruleset, stored, bad):
+    # True == 1 and 1.0 == 1, so a memo hit on the stored root would answer a
+    # bad one: the canonical form checks it before any lookup.
+    solver = Solver(ruleset)
+    solver.outcome(stored)
+    solver.grundy(stored)
+    with pytest.raises(ValueError, match="heap sizes must be non-negative ints"):
+        solver.outcome(bad)
+    with pytest.raises(ValueError, match="heap sizes must be non-negative ints"):
+        solver.grundy(bad)
 
 
 def test_euclid_small_outcomes():

@@ -174,6 +174,15 @@ def test_interval_certificate_bad_args():
         interval_compound_certificate(0, 3)
 
 
+def test_certificates_take_only_conventions():
+    # None would certify Grundy streams and file them as outcome certificates.
+    for convention in (None, "normal"):
+        with pytest.raises(ValueError, match="convention must be a Convention"):
+            interval_compound_certificate(2, 3, convention)
+        with pytest.raises(ValueError, match="convention must be a Convention"):
+            compound_certificates([1, 2], [1, 2, 3], convention)
+
+
 def test_plain_interval_subtraction_outcomes():
     # Sanity check of the stream helper on plain rulesets: Subtraction({1..k})
     # is P on multiples of k+1 under normal play, and 1 mod k+1 under misere.

@@ -82,6 +82,24 @@ def test_each_phase_takes_its_own_canonical_form():
     assert solver.entry_count() == 11
 
 
+def test_button_child_takes_the_second_form():
+    # An identity-form first ruleset hands on (5, 3) as it is; the button
+    # child puts it in Euclid's sorted form, and the search stores only that.
+    r1 = Ruleset("drop-first", lambda p: [(p[0] - 1, p[1])] if p[0] else [])
+    compound = push_ruleset(r1, EUCLID)
+    assert compound.options((5, 3))[-1] == PushPosition(Phase.AFTER, (3, 5))
+    solver = Solver(compound)
+    solver.grundy((6, 3))
+    after = [p.inner for p in solver.table() if p.__class__ is PushPosition]
+    assert (3, 5) in after
+    assert all(inner == tuple(sorted(inner)) for inner in after)
+    # Before the button, r2's leaf scores that same button child.
+    scored = []
+    r2 = Ruleset("euclid-scored", EUCLID.options, EUCLID.canonical, leaf=scored.append)
+    assert push_ruleset(r1, r2).leaf((5, 3)) is None
+    assert scored == [(3, 5)]
+
+
 def test_after_button_plays_as_the_second_ruleset():
     # After the button only the second ruleset moves, so the CLI asks an
     # after-button question of r2 itself (`solve --ruleset euclid ...`).
@@ -255,6 +273,6 @@ def test_structural_characterization():
             is_p = solver.outcome(PushPosition(Phase.BEFORE, (x, y))) is Outcome.P
             structural = r2_solver.outcome((x, y)) is Outcome.N and all(
                 solver.outcome(PushPosition(Phase.BEFORE, opt)) is Outcome.N
-                for opt in NIM.options((x, y))
+                for opt in NIM.options(NIM.canonical((x, y)))
             )
             assert is_p == structural, (x, y)
