@@ -18,7 +18,8 @@ from typing import Callable, Hashable, Iterable
 Position = Hashable
 
 MEMO_CAP_ENV = "GAMELAB_MEMO_CAP"
-DEFAULT_MEMO_CAP = 100_000_000
+# A search peaks at about 110-175 bytes an entry, so about 4 GiB at most.
+DEFAULT_MEMO_CAP = 25_000_000
 
 
 class Outcome(enum.Enum):

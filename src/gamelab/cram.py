@@ -27,9 +27,9 @@ button wins there, so normal-play outcome searches expand only boards whose
 button child is an N-position.
 `legal_moves` decodes that kernel's option list back to Push Cram positions
 (canonical children in the order above); `post_button_value` reads the
-strip-value xor of a position's board, in either phase.  Both take a Push
-Cram position (a `GridBoard`, or a `PushPosition` over one) and refuse
-anything else.
+strip-value xor of a position's board, in either phase.  Both read their
+input through `CRAM.canonical`, so they take any position `CRAM` takes and
+refuse what it refuses.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -47,7 +47,9 @@ from .push import Phase, PushPosition, push_ruleset
 
 MAX_CELLS = 64
 
-_STRIP_HORIZON = 512
+# certified_split_period needs 2 * (53 + 34) + 2 = 176 values for the strip
+# sequence's raw preperiod 53 and period 34; 256 leaves room to spare.
+_STRIP_HORIZON = 256
 _STRIP_MAX_TAKE = 2  # a domino removes two adjacent cells from a strip
 
 
@@ -110,14 +112,6 @@ class GridBoard(_BoardFields):
         if not 0 <= occupied < (1 << (rows * cols)):
             raise ValueError(f"occupancy out of range for {rows}x{cols}")
         return super().__new__(cls, rows, cols, occupied)
-
-
-def _board(position) -> GridBoard:
-    """The board of a Push Cram position (a GridBoard, or a PushPosition over one)."""
-    phase, board = position if position.__class__ is PushPosition else (Phase.BEFORE, position)
-    if phase.__class__ is not Phase or board.__class__ is not GridBoard:
-        raise ValueError(f"expected a GridBoard or a PushPosition over one, got {position!r}")
-    return board
 
 
 # -- the search kernel ----------------------------------------------------------
@@ -223,9 +217,9 @@ def _canonical(position):
         position = _position(position)  # refuses a key that names no board
     if position.__class__ is not GridBoard:
         raise ValueError(f"domino rulesets take keys and GridBoards, got {position!r}; use CRAM")
-    key = _key(position)
-    occ = key & _OCC_MASK
-    return key ^ occ | min(occ, *_SHAPES[key >> _SHAPE_SHIFT].images(occ))
+    rows, cols, occ = position
+    shape_id = rows << 8 | cols
+    return shape_id << _SHAPE_SHIFT | min(occ, *_SHAPES[shape_id].images(occ))
 
 
 def _strip_xor(key: int) -> int:
@@ -236,10 +230,6 @@ def _strip_xor(key: int) -> int:
     for at, _ in shape.row_shifts:
         total ^= strip[key >> at & mask]  # rows end below the shape bits
     return total
-
-
-def _key(board: GridBoard) -> int:
-    return (board.rows << 8 | board.cols) << _SHAPE_SHIFT | board.occupied
 
 
 def _position(p):
@@ -254,14 +244,14 @@ def _position(p):
 def legal_moves(position) -> list:
     """The search's own children of a Push Cram position: canonical, mirror
     replies first, the button child last, one entry per placement."""
-    _board(position)  # refuses anything but a Push Cram position
     return [_position(p) for p in CRAM.options(CRAM.canonical(position))]
 
 
 def post_button_value(position) -> int:
     """Grundy value of a Push Cram position's board after the button, in either
     phase: xor of strip values over the maximal free runs of each row."""
-    return _strip_xor(_key(_board(position)))
+    key = CRAM.canonical(position)
+    return _strip_xor(key[1] if key.__class__ is PushPosition else key)
 
 
 # -- rulesets -----------------------------------------------------------------

@@ -65,6 +65,8 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     ruleset's canonical form: r1's for g, r2's for the g inside the wrapper:
     the button child puts g in r2's form unless r1 and r2 share one form.
 
+    Options take canonical positions as they are: a bare r1 position, or an
+    AFTER wrapper (they read any PushPosition as one after the button).
     Options before the button list r1's moves, then the button child.  When
     r2 has a `leaf`, the compound's leaf is r2's after the button, and before
     it answers Outcome.N for a g whose button child r2's leaf scores 0.  A
@@ -84,10 +86,7 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
             # already settled every position the button wins.
             g = p if button is None else button(p)
             return [*options1(p), new(PushPosition, (after, g))]
-        phase, g = p
-        if phase is not after:
-            raise ValueError(f"{p!r} is not a canonical compound position")
-        return [new(PushPosition, (after, h)) for h in options2(g)]
+        return [new(PushPosition, (after, h)) for h in options2(p[1])]
 
     def canonical(p):
         if p.__class__ is PushPosition:

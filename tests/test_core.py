@@ -7,6 +7,7 @@ import random
 import pytest
 
 from gamelab.core import (
+    DEFAULT_MEMO_CAP,
     Convention,
     MemoLimitExceeded,
     Outcome,
@@ -213,7 +214,15 @@ def test_memo_cap_from_env(monkeypatch):
     with pytest.raises(ValueError):
         memo_cap_from_env()
     monkeypatch.delenv("GAMELAB_MEMO_CAP")
-    assert memo_cap_from_env() == 100_000_000
+    assert memo_cap_from_env() == 25_000_000
+
+
+def test_default_memo_cap_fits_in_4_gib():
+    # A search peaks at about 110-175 bytes of resident memory per entry
+    # (dict resizes make it jump), so at 160 bytes the default cap is at most
+    # 4 GiB, and at 175 bytes 4.1 GiB: it fails with exit code 2 before an
+    # 8 GB machine runs out of memory.
+    assert DEFAULT_MEMO_CAP * 160 <= 4 * 2**30
 
 
 def test_solver_reads_env_cap(monkeypatch):

@@ -47,7 +47,8 @@ def test_g007_prefix():
 
 
 def test_g007_matches_independent_recursion():
-    for n in range(200):
+    # Past the computed table too: the seam between it and the periodic tail.
+    for n in range(600):
         assert g007(n) == strip_value(n), n
 
 
@@ -236,14 +237,36 @@ def test_post_button_value_takes_either_phase():
 
 
 def test_position_functions_reject_other_types():
-    # A bare int, a heap tuple, a well-formed int key, a wrapped int and a
-    # string phase are not Push Cram positions.
-    key = CRAM.canonical(GridBoard(2, 3))
-    bads = (5, (2, 3), key, PushPosition(Phase.AFTER, 5), PushPosition("after", GridBoard(1, 2)))
+    # An int that names no board, a heap tuple, a wrapped one and a string
+    # phase are not Push Cram positions; CRAM.canonical refuses each.
+    bads = (5, (2, 3), PushPosition(Phase.AFTER, 5), PushPosition("after", GridBoard(1, 2)))
     for bad in bads:
-        for function in (post_button_value, legal_moves):
-            with pytest.raises(ValueError, match="expected a GridBoard or a PushPosition"):
+        for function in (post_button_value, legal_moves, CRAM.canonical):
+            with pytest.raises(ValueError):
                 function(bad)
+
+
+def test_position_functions_take_every_form_cram_takes():
+    # A board, its BEFORE and AFTER wrappers, its int key (not canonicalized)
+    # and the key in either wrapper: the helpers and the solver answer each
+    # as they answer the board form of the same phase.
+    boards = [GridBoard(2, 3, occ) for occ in range(1 << 6)]
+    boards += [GridBoard(3, 3, occ) for occ in range(1 << 9)]
+    rng = random.Random(26)
+    boards += [GridBoard(3, 4, rng.getrandbits(12)) for _ in range(200)]
+    solver = Solver(CRAM)
+    for board in boards:
+        key = CRAM.canonical(GridBoard(board.rows, board.cols)) | board.occupied
+        forms = {
+            Phase.BEFORE: [PushPosition(Phase.BEFORE, board), key, PushPosition(Phase.BEFORE, key)],
+            Phase.AFTER: [PushPosition(Phase.AFTER, key)],
+        }
+        for phase, others in forms.items():
+            position = _at(board, phase)
+            want = (legal_moves(position), post_button_value(position), solver.outcome(position))
+            for form in others:
+                got = (legal_moves(form), post_button_value(form), solver.outcome(form))
+                assert got == want, (board, phase, form)
 
 
 def test_post_button_value_empty_boards():
