@@ -13,8 +13,6 @@ from math import isqrt
 # unsigned 128-bit intermediate.
 PHI_INPUT_LIMIT = 1 << 62
 
-FIB_INDEX_LIMIT = 90
-
 _FIB = [0, 1]
 
 
@@ -26,13 +24,6 @@ def _fib_table(limit_value: int | None = None, limit_index: int | None = None) -
         while _FIB[-1] <= limit_value:
             _FIB.append(_FIB[-1] + _FIB[-2])
     return _FIB
-
-
-def fib(n: int) -> int:
-    """Fibonacci number with fib(0) = 0, fib(1) = fib(2) = 1."""
-    if not 0 <= n <= FIB_INDEX_LIMIT:
-        raise ValueError(f"fib index must be in [0, {FIB_INDEX_LIMIT}], got {n}")
-    return _fib_table(limit_index=n)[n]
 
 
 def floor_phi(n: int) -> int:

@@ -33,7 +33,7 @@ from .core import (
     Ruleset,
     Solver,
 )
-from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, _check_heaps, subtraction
+from .heaps import BASE_ORACLES, RULESETS, ZERUCLID, subtraction
 from .push import (
     COMPOUND_ORACLES,
     COMPOUNDS,
@@ -101,9 +101,10 @@ def _ruleset_from_string(text: str) -> Ruleset:
 
 def _game(args) -> tuple[Solver, object, dict]:
     """Fresh solver, root position and report params from --ruleset/--compound/--pos."""
-    # Every compound is a two-heap game.
-    heaps = _check_heaps(_int_list(args.pos, "position"), arity=2 if args.compound else None)
+    heaps = _int_list(args.pos, "position")  # the ruleset's canonical form checks them
     if args.compound:
+        if len(heaps) != 2:  # every compound is a two-heap game
+            raise ValueError(f"expected 2 heaps, got {heaps!r}")
         ruleset = compound_ruleset(args.compound)
     else:
         ruleset = _ruleset_from_string(args.ruleset)

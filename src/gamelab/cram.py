@@ -29,7 +29,8 @@ button child is an N-position.
 (canonical children in the order above); `post_button_value` reads the
 strip-value xor of a position's board, in either phase.  Both read their
 input through `CRAM.canonical`, so they take any position `CRAM` takes and
-refuse what it refuses.
+refuse what it refuses.  A `GridBoard` is plain data, as a heap tuple is:
+the domino rulesets' canonical form checks a board or int key where it enters.
 
 Board symmetry is the flip group only — horizontal and vertical reflections
 preserve domino orientation, transposition does not and is never applied.
@@ -91,27 +92,27 @@ def g007_certificate() -> PeriodCertificate:
 # -- boards -------------------------------------------------------------------
 
 
-class _BoardFields(NamedTuple):
+class GridBoard(NamedTuple):
+    """A rows x cols board, occupancy bits row-major; unchecked until it enters."""
+
     rows: int
     cols: int
     occupied: int = 0
 
 
-class GridBoard(_BoardFields):
-    """An immutable rows x cols board, occupancy bits row-major."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, occupied: int = 0):
-        if any(f.__class__ is not int for f in (rows, cols, occupied)):
-            raise ValueError(f"board fields must be ints, got {(rows, cols, occupied)!r}")
-        if rows < 1 or cols < 1:
-            raise ValueError(f"board must be at least 1x1, got {rows}x{cols}")
-        if rows * cols > MAX_CELLS:
-            raise ValueError(f"board {rows}x{cols} exceeds {MAX_CELLS} cells")
-        if not 0 <= occupied < (1 << (rows * cols)):
-            raise ValueError(f"occupancy out of range for {rows}x{cols}")
-        return super().__new__(cls, rows, cols, occupied)
+def _check_board(rows, cols, occupied=0, key=None) -> None:
+    """Refuse fields that name no board; `key` is the int key they came from."""
+    if any(f.__class__ is not int for f in (rows, cols, occupied)):
+        fault = f"board fields must be ints, got {(rows, cols, occupied)!r}"
+    elif rows < 1 or cols < 1:
+        fault = f"board must be at least 1x1, got {rows}x{cols}"
+    elif rows * cols > MAX_CELLS:
+        fault = f"board {rows}x{cols} exceeds {MAX_CELLS} cells"
+    elif not 0 <= occupied < (1 << (rows * cols)):
+        fault = f"occupancy out of range for {rows}x{cols}"
+    else:
+        return
+    raise ValueError(fault if key is None else f"key {key} names no board: {fault}")
 
 
 # -- the search kernel ----------------------------------------------------------
@@ -212,12 +213,17 @@ def _placements(orientation: str):
 
 def _canonical(position):
     """Key of the least occupancy over the flip group {identity, h, v, hv}, and
-    the check of a root: an int key is decoded to the GridBoard it names."""
+    the one check of a board: a GridBoard, or an int key decoded to one."""
+    key = None
     if position.__class__ is int:
-        position = _position(position)  # refuses a key that names no board
+        key, position = position, _position(position)
     if position.__class__ is not GridBoard:
-        raise ValueError(f"domino rulesets take keys and GridBoards, got {position!r}; use CRAM")
+        raise ValueError(
+            f"expected a GridBoard or its int key, got {position!r}"
+            " (CRAM takes either, alone or in one PushPosition)"
+        )
     rows, cols, occ = position
+    _check_board(rows, cols, occ, key)
     shape_id = rows << 8 | cols
     return shape_id << _SHAPE_SHIFT | min(occ, *_SHAPES[shape_id].images(occ))
 
@@ -256,8 +262,8 @@ def post_button_value(position) -> int:
 
 # -- rulesets -----------------------------------------------------------------
 
-#: Vertical dominoes: the game before the button.  Like `HORIZONTAL`, it
-#: takes int keys and GridBoards; `CRAM` and `CRAM_SEARCH` take PushPositions.
+#: Vertical dominoes: the game before the button.  Like `HORIZONTAL`, it takes
+#: and checks int keys and GridBoards; `CRAM` takes them in PushPositions too.
 VERTICAL = Ruleset("vertical-dominoes", _placements("vertical"), canonical=_canonical)
 
 #: Horizontal dominoes, scored in closed form by the strip-value xor: a
@@ -285,7 +291,7 @@ def cram_closed_form(rows: int, cols: int) -> Outcome | None:
     row count; odd-row four-column boards are P.  Everything else is left to
     search.
     """
-    GridBoard(rows, cols)  # validates the shape
+    _check_board(rows, cols)
     if rows % 2 == 0:
         return Outcome.N
     if g007(cols) == 0:
@@ -315,7 +321,7 @@ def phase1_value(rows: int, cols: int) -> int:
     Vertical placements never cross columns, so the vertical-only game is a
     disjoint sum of cols strips of height rows, each with value g007(rows).
     """
-    GridBoard(rows, cols)  # validates the shape
+    _check_board(rows, cols)
     return g007(rows) if cols % 2 else 0
 
 

@@ -23,6 +23,14 @@ def phi_floor(n: int) -> int:
     return int(Decimal(n) * PHI)
 
 
+def fibonacci(n: int) -> int:
+    """fib(n) with fib(0) = 0 and fib(1) = 1, by plain iteration."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 # -- naive solvers -----------------------------------------------------------
 
 

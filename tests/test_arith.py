@@ -6,11 +6,9 @@ import pytest
 
 from gamelab import arith
 from gamelab.arith import (
-    FIB_INDEX_LIMIT,
     PHI_INPUT_LIMIT,
     ceil_phi,
     consecutive_fib_index,
-    fib,
     floor_phi,
     is_wythoff_pair,
     ratio_below_phi,
@@ -19,7 +17,7 @@ from gamelab.arith import (
     zeckendorf_decode,
 )
 
-from reference import phi_floor
+from reference import fibonacci as fib, phi_floor
 
 
 def test_floor_phi_small_values():
@@ -57,20 +55,6 @@ def test_floor_phi_domain_errors():
         floor_phi(-1)
     with pytest.raises(ValueError):
         floor_phi(PHI_INPUT_LIMIT)
-
-
-def test_fib_values():
-    assert [fib(i) for i in range(11)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
-    assert fib(6) == 8
-    assert fib(5) - 1 == 4
-    assert fib(FIB_INDEX_LIMIT) == 2880067194370816120
-
-
-def test_fib_domain_errors():
-    with pytest.raises(ValueError):
-        fib(-1)
-    with pytest.raises(ValueError):
-        fib(FIB_INDEX_LIMIT + 1)
 
 
 def test_wythoff_pair_basics():
@@ -140,6 +124,10 @@ def test_consecutive_fib_index():
     assert consecutive_fib_index(2, 4) is None
     assert consecutive_fib_index(1, 3) is None
     assert consecutive_fib_index(0, 1) is None
+    # Against the reference Fibonacci numbers, past 64-bit values.
+    for k in range(3, 100):
+        assert consecutive_fib_index(fib(k), fib(k + 1)) == k, k
+        assert consecutive_fib_index(fib(k), fib(k + 1) + 1) is None, k
 
 
 def test_zeckendorf_examples():

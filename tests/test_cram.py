@@ -75,20 +75,89 @@ def test_g007_domain():
 
 
 def test_board_validation():
-    with pytest.raises(ValueError):
-        GridBoard(0, 3)
-    with pytest.raises(ValueError):
-        GridBoard(9, 8)  # 72 cells > 64
-    with pytest.raises(ValueError):
-        GridBoard(2, 2, occupied=1 << 4)
-    with pytest.raises(ValueError):
-        GridBoard(2, 2, occupied=-1)
+    # A GridBoard is plain data, like a heap tuple: made without a check, it
+    # is checked where it enters, in the canonical form.
     assert GridBoard._fields == ("rows", "cols", "occupied")
     assert GridBoard(8, 8).rows == 8
+    assert GridBoard(0, 3) == (0, 3, 0)
     assert MAX_CELLS == 64
-    # An int key whose shape bits are zero names no board.
-    with pytest.raises(ValueError, match="board must be at least 1x1, got 0x0"):
+    for board, message in [
+        (GridBoard(0, 3), "board must be at least 1x1, got 0x3"),
+        (GridBoard(9, 8), "board 9x8 exceeds 64 cells"),
+        (GridBoard(2, 2, occupied=1 << 4), "occupancy out of range for 2x2"),
+        (GridBoard(2, 2, occupied=-1), "occupancy out of range for 2x2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CRAM.canonical(board)
+    # An int key whose shape bits are zero names no board, and says so.
+    with pytest.raises(ValueError, match="^key 5 names no board: board must be at least 1x1, got 0x0$"):
         VERTICAL.canonical(5)
+
+
+#: Boards that name no board, made by the constructor, `_replace` or `_make`:
+#: each is refused where it enters.
+_BAD_BOARDS = {
+    "zero-rows": GridBoard(0, 3),
+    "too-many-cells": GridBoard(9, 8),
+    "occupancy-off-board": GridBoard(2, 2, 1 << 4),
+    "negative-occupancy": GridBoard(2, 2, -1),
+    "replace-cols": GridBoard(3, 3)._replace(cols=70),
+    "replace-rows": GridBoard(3, 3)._replace(rows=0),
+    "replace-occupied": GridBoard(3, 3)._replace(occupied=-1),
+    "replace-bool-rows": GridBoard(3, 3)._replace(rows=True),
+    "make": GridBoard._make((9, 8, 0)),
+}
+
+
+@pytest.mark.parametrize("board", list(_BAD_BOARDS.values()), ids=list(_BAD_BOARDS))
+def test_bad_boards_are_refused_where_they_enter(board):
+    # CRAM.canonical first: a search of a board that is not refused may not end.
+    entries = [CRAM.canonical, VERTICAL.canonical, HORIZONTAL.canonical]
+    entries += [legal_moves, post_button_value]
+    entries += [Solver(r).outcome for r in (CRAM, CRAM_SEARCH, VERTICAL, HORIZONTAL)]
+    entries += [Solver(HORIZONTAL).grundy]
+    for entry in entries:
+        with pytest.raises(ValueError):
+            entry(board)
+    for phase in Phase:
+        for entry in (CRAM.canonical, legal_moves, post_button_value, Solver(CRAM).outcome):
+            with pytest.raises(ValueError):
+                entry(PushPosition(phase, board))
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(0, 4), (4, 0), (-1, 4), (9, 8), (3, 70), (True, 3), (2, 3.0), ("2", 3)]
+)
+def test_shape_functions_refuse_what_boards_refuse(rows, cols):
+    # cram_closed_form and phase1_value check their shape through the same
+    # code as the canonical form.
+    with pytest.raises(ValueError) as board_error:
+        CRAM.canonical(GridBoard(rows, cols))
+    for function in (cram_closed_form, phase1_value, bluff_report):
+        with pytest.raises(ValueError) as error:
+            function(rows, cols)
+        assert str(error.value) == str(board_error.value), function
+
+
+#: The refusal of a position that is neither a board nor a key, true for a
+#: CRAM caller and a VERTICAL or HORIZONTAL one alike.
+_NOT_A_BOARD = (
+    r"^expected a GridBoard or its int key, got .*"
+    r" \(CRAM takes either, alone or in one PushPosition\)$"
+)
+
+
+def test_refusals_name_their_cause():
+    # An int key is named as a key; a position that is neither a board nor a
+    # key is told what CRAM takes.
+    with pytest.raises(ValueError, match="^key 5 names no board: "):
+        legal_moves(5)
+    with pytest.raises(ValueError, match="^key 5 names no board: "):
+        Solver(CRAM).outcome(5)
+    with pytest.raises(ValueError, match=_NOT_A_BOARD):
+        legal_moves((2, 3))
+    with pytest.raises(ValueError, match=_NOT_A_BOARD):
+        CRAM.canonical(PushPosition(Phase.BEFORE, PushPosition(Phase.AFTER, GridBoard(2, 3))))
 
 
 #: A 2x2 shape key with occupancy bit 10 set: no 2x2 board has that cell.
@@ -115,8 +184,10 @@ def test_int_key_roots_are_checked(ruleset, root):
     ids=["float-occupied", "bool-rows", "float-cols", "bool-occupied", "string-rows"],
 )
 def test_board_fields_are_ints(fields):
-    with pytest.raises(ValueError, match="board fields must be ints"):
-        GridBoard(*fields)
+    board = GridBoard(*fields)
+    for ask in (CRAM.canonical, Solver(VERTICAL).outcome, legal_moves):
+        with pytest.raises(ValueError, match="^board fields must be ints"):
+            ask(board)
 
 
 def test_canonical_board_flip_invariance():
@@ -326,7 +397,7 @@ def test_component_rulesets_reject_after_phase_boards():
         for inner in (board, CRAM.canonical(board)):
             for phase in Phase:
                 for search in searches(PushPosition(phase, inner)):
-                    with pytest.raises(ValueError, match="^domino rulesets .*; use CRAM$"):
+                    with pytest.raises(ValueError, match=_NOT_A_BOARD):
                         search(Solver(ruleset))
     # The compounds take both phases: grundy, normal and misere outcome.
     want = {Phase.BEFORE: [2, N, N], Phase.AFTER: [post_button_value(board), P, N]}
@@ -362,10 +433,11 @@ def test_fast_solver_matches_pure_search():
 
 
 def test_mirror_first_ordering_keeps_search_small():
+    # The count the README quotes: any change that moves the search moves it.
     # Without mirror-first ordering this search held 1,972,292 entries.
     solver = Solver(CRAM)
     assert solver.outcome(GridBoard(9, 4)) is cram_closed_form(9, 4) is P
-    assert solver.entry_count() < 50_000
+    assert solver.entry_count() == 7_974
 
 
 def test_outcome_search_stores_no_button_winnable_board():

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from gamelab.arith import fib
 from gamelab.core import Convention, Outcome, Ruleset, Solver, sum_grundy, sum_rulesets
 from gamelab.heaps import EUCLID, NIM, WYTHOFF, subtraction
 from gamelab.push import (
@@ -24,7 +23,7 @@ from gamelab.push import (
     push_ruleset,
 )
 
-from reference import naive_outcome, nim_moves, euclid_moves, push_moves
+from reference import euclid_moves, fibonacci as fib, naive_outcome, nim_moves, push_moves
 
 NIM_EUCLID = compound_ruleset("nim-euclid")
 
