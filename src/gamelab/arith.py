@@ -16,13 +16,9 @@ PHI_INPUT_LIMIT = 1 << 62
 _FIB = [0, 1]
 
 
-def _fib_table(limit_value: int | None = None, limit_index: int | None = None) -> list[int]:
-    if limit_index is not None:
-        while len(_FIB) <= limit_index:
-            _FIB.append(_FIB[-1] + _FIB[-2])
-    if limit_value is not None:
-        while _FIB[-1] <= limit_value:
-            _FIB.append(_FIB[-1] + _FIB[-2])
+def _fib_table(limit_value: int) -> list[int]:
+    while _FIB[-1] <= limit_value:
+        _FIB.append(_FIB[-1] + _FIB[-2])
     return _FIB
 
 
@@ -126,6 +122,9 @@ def zeckendorf_decode(word: str) -> int:
         raise ValueError(f"Zeckendorf word must be over 0/1, got {word!r}")
     if "11" in word:
         raise ValueError(f"adjacent ones in Zeckendorf word {word!r}")
-    length = len(word)
-    table = _fib_table(limit_index=length + 1)
-    return sum(table[length + 1 - i] for i, c in enumerate(word) if c == "1")
+    total, f, g = 0, 1, 2  # the rightmost digit stands for fib(2), the next for fib(3)
+    for c in reversed(word):
+        if c == "1":
+            total += f
+        f, g = g, f + g
+    return total

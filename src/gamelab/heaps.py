@@ -11,7 +11,7 @@ the smallest remainder first in Euclid.  Subtraction's form only checks.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Iterable
 
@@ -23,7 +23,7 @@ def _check_heaps(position, arity: int | None = None) -> tuple:
     if position.__class__ is not tuple:
         raise ValueError(f"heap position must be a tuple, got {position!r}")
     if arity is not None and len(position) != arity:
-        raise ValueError(f"expected {arity} heaps, got {position!r}")
+        raise ValueError(f"expected {arity} heap{'s' * (arity != 1)}, got {position!r}")
     for h in position:
         if h.__class__ is not int or h < 0:
             raise ValueError(f"heap sizes must be non-negative ints, got {position!r}")
@@ -33,6 +33,11 @@ def _check_heaps(position, arity: int | None = None) -> tuple:
 def _sorted_tuple(position: tuple) -> tuple:
     """The heap-symmetric rulesets' canonical form: checked heaps, sorted."""
     return tuple(sorted(_check_heaps(position)))
+
+
+# Every subtraction ruleset's canonical form: one shared form, so push_ruleset
+# leaves the button child of a subtraction compound as it is.
+_one_heap = partial(_check_heaps, arity=1)
 
 
 # Options of the heap-symmetric rulesets take the sorted tuple that the
@@ -122,7 +127,7 @@ def _subtraction_cached(vals: tuple[int, ...]) -> Ruleset:
         return [(n - v,) for v in vals if v <= n]
 
     name = "subtraction({})".format(",".join(map(str, vals)))
-    return Ruleset(name, options, canonical=_check_heaps)
+    return Ruleset(name, options, canonical=_one_heap)
 
 
 NIM = Ruleset("nim", nim_options, canonical=_sorted_tuple)

@@ -1,11 +1,10 @@
 """Verification sweeps: every closed form re-checked against brute search.
 
-Each suite returns {"suite", "checks", "counterexamples"}; an empty
-counterexample list means the sweep found full agreement at its stated
-ranges.  Where a search is checked against a closed form, each mismatch is
-recorded as {**context, "position", "search", "closed_form"}, holding the
-two values as computed.  Suites are sized so the whole battery stays
-desk-scale.
+Each suite is a fixed check, its ranges stated in its docstring; it returns
+{"suite", "checks", "counterexamples"}, and an empty counterexample list
+means the sweep found full agreement.  Where a search is checked against a
+closed form, each mismatch is recorded as {**context, "position", "search",
+"closed_form"}, holding the two values as computed.
 """
 
 from __future__ import annotations
@@ -77,39 +76,37 @@ def _pairs(low: int, high: int):
     return itertools.combinations_with_replacement(range(low, high + 1), 2)
 
 
-def suite_push_lemma(nim_max: int = 15, sub_max: int = 30) -> dict:
-    """push(R, R) has the value of R plus one extra token, for two test rulesets."""
+def suite_push_lemma() -> dict:
+    """push(R, R) is R plus one token: Nim pairs to 15, Subtraction{1, 2} to 30."""
     tally = _Tally("push-lemma")
     for name, ruleset, positions in (
-        ("nim", NIM, _pairs(0, nim_max)),
-        ("subtraction-1-2", subtraction((1, 2)), ((n,) for n in range(sub_max + 1))),
+        ("nim", NIM, _pairs(0, 15)),
+        ("subtraction-1-2", subtraction((1, 2)), ((n,) for n in range(31))),
     ):
         push = Solver(push_ruleset(ruleset, ruleset))
         plus_star = Solver(sum_rulesets(ruleset, NIM))
-        tally.agree(
-            positions, push.grundy, lambda p: plus_star.grundy((p, (1,))), ruleset=name
-        )
+        tally.agree(positions, push.grundy, lambda p: plus_star.grundy((p, (1,))), ruleset=name)
     return tally.report()
 
 
-def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> dict:
-    """Search outcomes of the four compounds against their closed forms,
+def suite_push_characterization() -> dict:
+    """Search outcomes of the four compounds against their closed forms on
 
-    plus the structural test: a pre-button position is P exactly when its
-    inner position is an N-position of the second ruleset and every first-
-    ruleset option is an N-position of the compound.
+    [0, 40]^2, plus the structural test on [0, 15]^2: a pre-button position is
+    P exactly when its inner position is an N-position of the second ruleset
+    and every first-ruleset option is an N-position of the compound.
     """
     tally = _Tally("push-characterization")
     for name, (r1, r2) in COMPOUNDS.items():
         solver, inner = Solver(compound_ruleset(name)), Solver(r2)
         tally.agree(
-            itertools.product(range(limit + 1), repeat=2),
+            itertools.product(range(41), repeat=2),
             solver.outcome,
             lambda p: push_p_oracle(name, p),
             compound=name,
         )
         tally.agree(
-            itertools.product(range(structural_limit + 1), repeat=2),
+            itertools.product(range(16), repeat=2),
             lambda p: solver.outcome(p) is Outcome.P,
             lambda p: inner.outcome(p) is Outcome.N
             and all(solver.outcome(q) is Outcome.N for q in r1.options(r1.canonical(p))),
@@ -119,15 +116,15 @@ def suite_push_characterization(limit: int = 30, structural_limit: int = 15) -> 
     return tally.report()
 
 
-def suite_nim_euclid_triple(
-    pair_limit: int = 10_000, box: int = 600, brute: int = 40
-) -> dict:
+def suite_nim_euclid_triple() -> dict:
     """The three descriptions of the Nim-then-Euclid P-pairs must coincide:
 
-    the mex/ceil-phi recurrence, the Fibonacci-word classification, and the
-    pair predicate; the predicate is then re-checked against raw search.
+    the mex/ceil-phi recurrence, the Fibonacci-word classification (values to
+    10^4), and the pair predicate (pairs in [0, 600]^2, and against raw search
+    on pairs to 40).
     """
     tally = _Tally("nim-euclid-triple")
+    pair_limit, box = 10_000, 600
 
     # Recurrence pairs out to 2*pair_limit put every integer <= pair_limit on
     # one side of some pair (the slow side crosses pair_limit well before the
@@ -161,25 +158,26 @@ def suite_nim_euclid_triple(
 
     solver = Solver(compound_ruleset("nim-euclid"))
     tally.agree(
-        _pairs(0, brute),
+        _pairs(0, 40),
         solver.outcome,
         lambda p: Outcome.P if is_nim_euclid_p(*p) else Outcome.N,
     )
     return tally.report()
 
 
-def suite_zeruclid_bounds(limit: int = 25, correspondence_limit: int = 30) -> dict:
-    """Three-heap structure: (1, a, b) plays like the Nim-then-Euclid compound,
+def suite_zeruclid_bounds() -> dict:
+    """Three-heap structure: (1, a, b) plays like the Nim-then-Euclid compound
 
-    and sorted P-positions keep their largest heap inside the predicted band.
+    (a, b to 30), and sorted P-positions keep their largest heap inside the
+    predicted band (1 <= a <= b <= 25).
     """
     tally = _Tally("zeruclid-bounds")
     tally.agree(
-        ((1, a, b) for a, b in itertools.product(range(correspondence_limit + 1), repeat=2)),
+        ((1, a, b) for a, b in itertools.product(range(31), repeat=2)),
         Solver(ZERUCLID).outcome,
         lambda p: push_p_oracle("nim-euclid", p[1:]),
     )
-    for a, b in _pairs(1, limit):
+    for a, b in _pairs(1, 25):
         result = zeruclid_bound_check(a, b, ceil_phi(b) + a + 5)
         tally.check(
             not result.violations,
@@ -188,41 +186,33 @@ def suite_zeruclid_bounds(limit: int = 25, correspondence_limit: int = 30) -> di
     return tally.report()
 
 
-def suite_zeruclid_residues(limit: int = 15) -> dict:
-    """Each (a, b) admits exactly a completions, one per residue class mod a."""
+def suite_zeruclid_residues() -> dict:
+    """Each (a, b) with 1 <= a <= b <= 15 admits exactly a completions, one
+    per residue class mod a; an incomplete survey is recorded whole."""
     tally = _Tally("zeruclid-residues")
-    for a, b in _pairs(1, limit):
+    for a, b in _pairs(1, 15):
         survey = zeruclid_residue_survey(a, b)
-        tally.check(
-            survey.complete,
-            lambda: {
-                "a": a,
-                "b": b,
-                "hits": [list(h) for h in survey.hits],
-                "scanned_to": survey.scanned_to,
-            },
-        )
+        tally.check(survey.complete, survey._asdict)
     return tally.report()
 
 
-def suite_subtraction_periods(
-    grid_max: int = 8, instances: int = 50, max_move: int = 6, seed: int = 112358
-) -> dict:
-    """Interval compounds match the closed-form period with no preperiod;
+def suite_subtraction_periods() -> dict:
+    """Interval compounds (k1, k2 to 8) match the closed-form period with no
 
-    random subtraction compounds stay within the certified state bounds.
+    preperiod; 50 random compounds of move sets in {1..6} (seed 112358) stay
+    within the certified state bounds.
     """
     tally = _Tally("subtraction-periods")
     tally.agree(
-        itertools.product(range(1, grid_max + 1), repeat=2),
+        itertools.product(range(1, 9), repeat=2),
         lambda k: interval_compound_certificate(*k)._asdict(),
         lambda k: {"preperiod": 0, "period": predicted_period(*k)},
     )
 
-    rng = random.Random(seed)
-    for _ in range(instances):
-        s1 = sorted(rng.sample(range(1, max_move + 1), rng.randint(1, max_move)))
-        s2 = sorted(rng.sample(range(1, max_move + 1), rng.randint(1, max_move)))
+    rng = random.Random(112358)
+    for _ in range(50):
+        s1 = sorted(rng.sample(range(1, 7), rng.randint(1, 6)))
+        s2 = sorted(rng.sample(range(1, 7), rng.randint(1, 6)))
         certs = compound_certificates(s1, s2)
         out, values = certs["outcome"], certs["values"]
         out_bound = certs["r2"].period * 2 ** max(s1)
@@ -250,10 +240,11 @@ def _vertical_occupancies(rows: int, cols: int):
             yield tops | tops << cols
 
 
-def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -> dict:
-    """Closed-form board outcomes, the row-split evaluation, the strip-value
+def suite_cram_propositions() -> dict:
+    """Closed-form board outcomes (listed shapes, and all to 36 cells), the
 
-    certificate, the zero-parity invariant, and the bluff property.
+    row-split evaluation (every vertical filling to 16 cells), the strip-value
+    certificate, the zero-parity invariant to 500, and the bluff property.
     """
     tally = _Tally("cram-propositions")
     boards = (
@@ -264,8 +255,8 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
     )
     boards += [
         (m, n)
-        for m in range(1, closed_form_area + 1)
-        for n in range(1, closed_form_area // m + 1)
+        for m in range(1, 37)
+        for n in range(1, 36 // m + 1)
         if cram_closed_form(m, n) is not None and (m, n) not in boards
     ]
     fast = solver_for(CRAM)
@@ -275,8 +266,8 @@ def suite_cram_propositions(cell_budget: int = 16, closed_form_area: int = 36) -
     tally.agree(
         (
             GridBoard(rows, cols, occ)
-            for rows in range(1, cell_budget + 1)
-            for cols in range(1, cell_budget // rows + 1)
+            for rows in range(1, 17)
+            for cols in range(1, 16 // rows + 1)
             for occ in _vertical_occupancies(rows, cols)
         ),
         lambda board: search.grundy(PushPosition(Phase.AFTER, board)),

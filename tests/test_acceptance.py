@@ -89,7 +89,7 @@ def test_criterion_2_triple_characterization(capsys):
 def test_criterion_3_push_operator_lemmas(capsys):
     def body():
         no_counterexamples(suite_push_lemma(), 167)
-        no_counterexamples(suite_push_characterization(), 4_868)
+        no_counterexamples(suite_push_characterization(), 7_748)
 
     run_criterion(
         capsys, 3, "self-compound adds a unit heap; P-characterization holds", 60.0, body
@@ -98,7 +98,7 @@ def test_criterion_3_push_operator_lemmas(capsys):
 
 def test_criterion_4_other_compounds_to_40(capsys):
     def body():
-        no_counterexamples(suite_push_characterization(limit=40), 7_748)
+        no_counterexamples(suite_push_characterization(), 7_748)
 
     run_criterion(
         capsys, 4, "all four compound closed forms match search on [0,40]^2", 60.0, body
@@ -107,8 +107,8 @@ def test_criterion_4_other_compounds_to_40(capsys):
 
 def test_criterion_5_zeruclid_theorems(capsys):
     def body():
-        no_counterexamples(suite_zeruclid_bounds(limit=25, correspondence_limit=30), 1_286)
-        no_counterexamples(suite_zeruclid_residues(limit=15), 120)
+        no_counterexamples(suite_zeruclid_bounds(), 1_286)
+        no_counterexamples(suite_zeruclid_residues(), 120)
 
     run_criterion(
         capsys, 5, "unit-heap correspondence, band bound, residue coverage", 600.0, body

@@ -161,6 +161,16 @@ def test_zeckendorf_round_trip():
         assert zeckendorf_decode(zeckendorf(n)) == n
 
 
+def test_zeckendorf_decode_long_words():
+    # A k-letter word's digits stand for fib(k + 1) down to fib(2); these
+    # words run well past any Fibonacci number the other tests reach.
+    assert zeckendorf_decode("1" + "0" * 99) == fib(101)
+    assert zeckendorf_decode("10" * 50) == sum(fib(k) for k in range(3, 102, 2))
+    assert zeckendorf_decode("0" * 99 + "1") == fib(2)
+    for word in ("1" + "0" * 99, "10" * 50, "1" + "01" * 60):
+        assert zeckendorf(zeckendorf_decode(word)) == word
+
+
 def test_zeckendorf_decode_rejects_invalid():
     with pytest.raises(ValueError):
         zeckendorf_decode("11")

@@ -355,6 +355,12 @@ def test_compound_root_must_be_two_heaps(capsys, argv):
     assert err == f"error: expected 2 heaps, got ({argv[4].replace(',', ', ')})\n"
 
 
+def test_subtraction_root_must_be_one_heap(capsys):
+    code, out, err = run_cli(capsys, "grundy", "--ruleset", "subtraction:1,2", "--pos", "3,4")
+    assert (code, out) == (1, "")
+    assert err == "error: expected 1 heap, got (3, 4)\n"
+
+
 def test_horizon_exceeded_exit_two(capsys, monkeypatch):
     def blow_up(k1, k2, convention=None):
         raise HorizonExceeded("stream too short")

@@ -20,7 +20,7 @@ from gamelab.heaps import (
 )
 from gamelab.cram import GridBoard
 from gamelab.periodicity import compound_certificates
-from gamelab.push import Phase, PushPosition, compound_ruleset
+from gamelab.push import Phase, PushPosition, compound_ruleset, push_p_oracle
 
 from reference import (
     euclid_moves,
@@ -135,6 +135,9 @@ def test_subtraction_ruleset():
     s12 = subtraction((1, 2))
     assert s12.name == "subtraction(1,2)"
     assert subtraction((2, 1)) is s12
+    # One form for every subtraction ruleset, so push_ruleset leaves the
+    # button child of a subtraction compound as it is.
+    assert subtraction((3,)).canonical is s12.canonical
     for n in range(10):
         assert set(s12.options((n,))) == set(subtraction_moves((1, 2), (n,)))
 
@@ -208,6 +211,24 @@ def test_heap_roots_are_refused_whatever_the_memo_holds(ruleset, stored, bad):
         solver.outcome(bad)
     with pytest.raises(ValueError, match="heap sizes must be non-negative ints"):
         solver.grundy(bad)
+
+
+@pytest.mark.parametrize(
+    "ask, message",
+    [
+        (lambda: Solver(subtraction((1, 2))).outcome((3, 4)), "expected 1 heap, got (3, 4)"),
+        (lambda: Solver(subtraction((2, 3))).grundy(()), "expected 1 heap, got ()"),
+        (lambda: is_wythoff_p((1, 2, 3)), "expected 2 heaps, got (1, 2, 3)"),
+        (lambda: push_p_oracle("nim-euclid", (1, 2, 3)), "expected 2 heaps, got (1, 2, 3)"),
+    ],
+    ids=["subtraction-outcome", "subtraction-grundy", "wythoff-oracle", "compound-oracle"],
+)
+def test_heap_count_is_checked(ask, message):
+    # A root or an oracle argument with the wrong number of heaps is refused
+    # by a message that names it, not by an unpacking error.
+    with pytest.raises(ValueError) as refused:
+        ask()
+    assert str(refused.value) == message
 
 
 def test_euclid_small_outcomes():

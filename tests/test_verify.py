@@ -1,54 +1,21 @@
-"""Cross-validation suites: reduced-size runs must report no counterexamples."""
+"""Verification suites: dispatch, and planted faults that each suite must
+report as exactly one counterexample.  Every suite runs clean at its one
+fixed size in the acceptance tests."""
+
+import json
 
 import pytest
 
+import gamelab.cli as cli
 from gamelab import verify
 from gamelab.core import Outcome
 from gamelab.verify import (
     SUITES,
     run_suite,
-    suite_cram_propositions,
-    suite_nim_euclid_triple,
     suite_push_characterization,
-    suite_push_lemma,
     suite_subtraction_periods,
-    suite_zeruclid_bounds,
     suite_zeruclid_residues,
 )
-
-
-def check_clean(report):
-    assert set(report) >= {"suite", "checks", "counterexamples"}
-    assert report["checks"] > 0
-    assert report["counterexamples"] == []
-
-
-def test_suite_push_lemma():
-    check_clean(suite_push_lemma(nim_max=8, sub_max=15))
-
-
-def test_suite_push_characterization():
-    check_clean(suite_push_characterization(limit=15, structural_limit=8))
-
-
-def test_suite_nim_euclid_triple():
-    check_clean(suite_nim_euclid_triple(pair_limit=200, box=80, brute=25))
-
-
-def test_suite_zeruclid_bounds():
-    check_clean(suite_zeruclid_bounds(limit=8, correspondence_limit=12))
-
-
-def test_suite_zeruclid_residues():
-    check_clean(suite_zeruclid_residues(limit=8))
-
-
-def test_suite_subtraction_periods():
-    check_clean(suite_subtraction_periods(grid_max=4, instances=8, max_move=5, seed=7))
-
-
-def test_suite_cram_propositions():
-    check_clean(suite_cram_propositions(cell_budget=12, closed_form_area=12))
 
 
 def test_registry_and_dispatch():
@@ -88,12 +55,61 @@ def test_planted_closed_form_error_is_the_one_counterexample(monkeypatch):
         return flip[want] if (name, position) == planted else want
 
     monkeypatch.setattr(verify, "push_p_oracle", wrong_once)
-    report = suite_push_characterization(limit=5, structural_limit=3)
+    report = suite_push_characterization()
     truth = oracle(*planted)
-    assert report["checks"] == 4 * (6 * 6 + 4 * 4)
+    assert report["checks"] == 4 * (41 * 41 + 16 * 16) == 7_748
     assert report["counterexamples"] == [
         {"compound": "wythoff-nim", "position": (2, 3), "search": truth, "closed_form": flip[truth]}
     ]
+
+
+def one_planted_record(capsys, suite, name, checks):
+    """The one counterexample that `suite` reports under a planted fault; it
+    must serialize, leave the check count as it is, and make
+    `gamelab verify name` exit 3."""
+    report = suite()
+    assert report["checks"] == checks
+    [record] = report["counterexamples"]
+    json.dumps(record)
+    assert cli.main(["verify", name]) == 3
+    assert json.loads(capsys.readouterr().out)["result"]["counterexamples"] == 1
+    return record
+
+
+def test_planted_incomplete_survey_is_the_one_counterexample(capsys, monkeypatch):
+    survey = verify.zeruclid_residue_survey
+    truth = survey(3, 5)
+    planted = truth._replace(hits=truth.hits[:-1])
+
+    def drop_last_hit(a, b):
+        return planted if (a, b) == (3, 5) else survey(a, b)
+
+    monkeypatch.setattr(verify, "zeruclid_residue_survey", drop_last_hit)
+    record = one_planted_record(capsys, suite_zeruclid_residues, "zeruclid-residues", 120)
+    assert record == {"a": 3, "b": 5, "scanned_to": truth.scanned_to, "hits": planted.hits}
+
+
+def test_planted_out_of_bound_period_is_the_one_counterexample(capsys, monkeypatch):
+    # The suite's first random instance, drawn once in its 50.
+    planted = ([1, 2, 4, 5, 6], [1, 2])
+    certs = verify.compound_certificates(*planted)
+    bound = certs["r2"].period * 2 ** 6
+    wrong = {**certs, "outcome": certs["outcome"]._replace(period=bound + 1)}
+    certificates = verify.compound_certificates
+
+    def out_of_bound_once(s1, s2):
+        return wrong if (s1, s2) == planted else certificates(s1, s2)
+
+    monkeypatch.setattr(verify, "compound_certificates", out_of_bound_once)
+    record = one_planted_record(capsys, suite_subtraction_periods, "subtraction-periods", 114)
+    assert record == {
+        "s1": planted[0],
+        "s2": planted[1],
+        "outcome_period": bound + 1,
+        "outcome_bound": bound,
+        "value_period": certs["values"].period,
+        "value_bound": certs["r2_values"].period * 7**6,
+    }
 
 
 def test_vertical_occupancies_are_every_vertical_filling():
