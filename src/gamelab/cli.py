@@ -103,8 +103,6 @@ def _game(args) -> tuple[Solver, object, dict]:
     """Fresh solver, root position and report params from --ruleset/--compound/--pos."""
     heaps = _int_list(args.pos, "position")  # the ruleset's canonical form checks them
     if args.compound:
-        if len(heaps) != 2:  # every compound is a two-heap game
-            raise ValueError(f"expected 2 heaps, got {heaps!r}")
         ruleset = compound_ruleset(args.compound)
     else:
         ruleset = _ruleset_from_string(args.ruleset)

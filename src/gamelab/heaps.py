@@ -6,7 +6,8 @@ and Zeruclid are symmetric under permuting heaps: their canonical form checks
 a root's heaps and sorts them, and their option functions take a sorted tuple
 and list sorted children, likeliest P children first (see `core.Ruleset`): the
 largest heap first in Nim and Zeruclid, the diagonal moves first in Wythoff,
-the smallest remainder first in Euclid.  Subtraction's form only checks.
+the smallest remainder first in Euclid.  Wythoff's and Euclid's form, the pair
+form, also refuses any count but two heaps; subtraction's only checks one heap.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def _check_heaps(position, arity: int | None = None) -> tuple:
 def _sorted_tuple(position: tuple) -> tuple:
     """The heap-symmetric rulesets' canonical form: checked heaps, sorted."""
     return tuple(sorted(_check_heaps(position)))
+
+
+def _sorted_pair(position: tuple) -> tuple:
+    """The two-heap games' canonical form: two checked heaps, sorted."""
+    a, b = _check_heaps(position, 2)
+    return position if a <= b else (b, a)
 
 
 # Every subtraction ruleset's canonical form: one shared form, so push_ruleset
@@ -131,8 +138,8 @@ def _subtraction_cached(vals: tuple[int, ...]) -> Ruleset:
 
 
 NIM = Ruleset("nim", nim_options, canonical=_sorted_tuple)
-WYTHOFF = Ruleset("wythoff", wythoff_options, canonical=_sorted_tuple)
-EUCLID = Ruleset("euclid", euclid_options, canonical=_sorted_tuple)
+WYTHOFF = Ruleset("wythoff", wythoff_options, canonical=_sorted_pair)
+EUCLID = Ruleset("euclid", euclid_options, canonical=_sorted_pair)
 ZERUCLID = Ruleset("zeruclid", zeruclid_options, canonical=_sorted_tuple)
 
 RULESETS = {

@@ -39,6 +39,7 @@ from .heaps import (
     NIM,
     WYTHOFF,
     _check_heaps,
+    _sorted_pair,
     is_euclid_misere_p,
     is_nim_misere_p,
 )
@@ -110,11 +111,13 @@ def push_ruleset(r1: Ruleset, r2: Ruleset) -> Ruleset:
     return Ruleset(f"push({r1.name},{r2.name})", options, canonical, leaf if leaf2 else None)
 
 
+# Two-heap Nim: every compound's rulesets share the pair form, which checks roots.
+_NIM_PAIR = Ruleset("nim", NIM.options, canonical=_sorted_pair)
 COMPOUNDS = {
-    "nim-euclid": (NIM, EUCLID),
-    "nim-wythoff": (NIM, WYTHOFF),
-    "euclid-nim": (EUCLID, NIM),
-    "wythoff-nim": (WYTHOFF, NIM),
+    "nim-euclid": (_NIM_PAIR, EUCLID),
+    "nim-wythoff": (_NIM_PAIR, WYTHOFF),
+    "euclid-nim": (EUCLID, _NIM_PAIR),
+    "wythoff-nim": (WYTHOFF, _NIM_PAIR),
 }
 
 
@@ -218,12 +221,12 @@ def is_euclid_nim_p(x: int, y: int) -> bool:
 
 
 def is_wythoff_nim_p(x: int, y: int) -> bool:
-    """Wythoff then Nim: both coordinates of a positive-index Beatty pair, each
-    lowered by one."""
+    """Wythoff then Nim: a positive-index Beatty pair, each heap lowered by one."""
     if x > y:
         x, y = y, x
-    n = y - x
-    return n >= 1 and x + 1 == floor_phi(n)
+    if x < 0:
+        raise ValueError(f"heap sizes must be non-negative, got ({x}, {y})")
+    return x < y and x + 1 == floor_phi(y - x)
 
 
 COMPOUND_ORACLES = {

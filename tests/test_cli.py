@@ -355,6 +355,29 @@ def test_compound_root_must_be_two_heaps(capsys, argv):
     assert err == f"error: expected 2 heaps, got ({argv[4].replace(',', ', ')})\n"
 
 
+@pytest.mark.parametrize(
+    "argv, got",
+    [
+        (("solve", "--ruleset", "euclid", "--pos", "3"), "(3,)"),
+        (("grundy", "--ruleset", "wythoff", "--pos", "1,2,3"), "(1, 2, 3)"),
+    ],
+)
+def test_two_heap_ruleset_root_must_be_two_heaps(capsys, argv, got):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: expected 2 heaps, got {got}\n"
+
+
+def test_refused_compound_root_leaves_the_cache_file(capsys, tmp_path):
+    cache = tmp_path / "memo.jsonl"
+    argv = ("solve", "--compound", "nim-euclid", "--cache", str(cache))
+    assert run_cli(capsys, *argv, "--pos", "7,12")[0] == 0
+    before = cache.read_bytes()
+    code, out, err = run_cli(capsys, *argv, "--pos", "7,12,1")
+    assert (code, out, err) == (1, "", "error: expected 2 heaps, got (7, 12, 1)\n")
+    assert cache.read_bytes() == before
+
+
 def test_subtraction_root_must_be_one_heap(capsys):
     code, out, err = run_cli(capsys, "grundy", "--ruleset", "subtraction:1,2", "--pos", "3,4")
     assert (code, out) == (1, "")
@@ -484,6 +507,29 @@ def test_cache_round_trip(capsys, tmp_path):
     assert code == 0
     stats = json.loads(out)["cache"]
     assert stats["loaded"] > 0
+
+
+def test_compound_names_and_cache_tag_are_pinned(capsys, tmp_path):
+    # A compound's ruleset name starts its --cache tag: a file saved by an
+    # earlier version carries this header and must keep loading in full.
+    names = {name: cli.compound_ruleset(name).name for name in cli.COMPOUNDS}
+    assert names == {
+        "nim-euclid": "push(nim,euclid)",
+        "nim-wythoff": "push(nim,wythoff)",
+        "euclid-nim": "push(euclid,nim)",
+        "wythoff-nim": "push(wythoff,nim)",
+    }
+    path = tmp_path / "nim-euclid.cache"
+    argv = ("solve", "--compound", "nim-euclid", "--pos", "7,12", "--cache", str(path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    entries = json.loads(out)["cache"]["entries"]
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == '{"version":4,"tag":"push(nim,euclid)|outcome:normal"}\n'
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    warm = json.loads(out)
+    assert warm["cache"]["loaded"] == entries > 0 and warm["result"] == {"outcome": "P"}
 
 
 def _pickled_cache(tag: str, records) -> bytes:

@@ -231,6 +231,41 @@ def test_heap_count_is_checked(ask, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize(
+    "ask, message",
+    [
+        (lambda: Solver(WYTHOFF).outcome((3, 4, 5)), "expected 2 heaps, got (3, 4, 5)"),
+        (lambda: Solver(WYTHOFF).grundy((7,)), "expected 2 heaps, got (7,)"),
+        (lambda: Solver(EUCLID).grundy((3,)), "expected 2 heaps, got (3,)"),
+        (lambda: Solver(EUCLID).outcome((1, 2, 3)), "expected 2 heaps, got (1, 2, 3)"),
+        (
+            lambda: Solver(compound_ruleset("nim-euclid")).outcome((1, 2, 3)),
+            "expected 2 heaps, got (1, 2, 3)",
+        ),
+        (
+            lambda: Solver(compound_ruleset("euclid-nim")).grundy(
+                PushPosition(Phase.AFTER, (1, 2, 3))
+            ),
+            "expected 2 heaps, got (1, 2, 3)",
+        ),
+    ],
+    ids=[
+        "wythoff-outcome",
+        "wythoff-grundy",
+        "euclid-grundy",
+        "euclid-outcome",
+        "compound-before",
+        "compound-after",
+    ],
+)
+def test_two_heap_games_check_their_roots(ask, message):
+    # Wythoff, Euclid and every compound take the pair form, so a root with
+    # another heap count is refused by name, in either phase of a compound.
+    with pytest.raises(ValueError) as refused:
+        ask()
+    assert str(refused.value) == message
+
+
 def test_euclid_small_outcomes():
     solver = Solver(EUCLID)
     assert solver.outcome((1, 2)) is Outcome.N

@@ -140,6 +140,26 @@ def test_registry_and_caching():
         push_p_oracle("nope", (1, 2))
 
 
+def test_compound_rulesets_share_the_pair_form():
+    # One form for both phases: push_ruleset then leaves every button child
+    # as it is, and the form refuses a root that is not two heaps.
+    for name, (r1, r2) in COMPOUNDS.items():
+        assert r1.canonical is r2.canonical, name
+        assert r1.canonical((5, 2)) == (2, 5), name
+        with pytest.raises(ValueError, match=r"expected 2 heaps, got \(1, 2, 3\)"):
+            r1.canonical((1, 2, 3))
+    nims = {r for pair in COMPOUNDS.values() for r in pair if r.name == "nim"}
+    assert len(nims) == 1 and NIM not in nims  # the any-arity Nim stays as it was
+    assert next(iter(nims)).options is NIM.options
+
+
+@pytest.mark.parametrize("position", [(-2, 0), (0, -1)])
+@pytest.mark.parametrize("oracle", sorted(COMPOUND_ORACLES))
+def test_compound_oracles_refuse_negative_heaps(oracle, position):
+    with pytest.raises(ValueError, match="non-negative"):
+        COMPOUND_ORACLES[oracle](*position)
+
+
 def test_self_compound_equals_sum_with_unit_heap():
     # R-then-R has the same Grundy values as R plus a one-token Nim heap.
     solver = Solver(push_ruleset(NIM, NIM))
